@@ -1,29 +1,24 @@
-//! E21 — serving throughput: requests/sec of the HTTP layer end to end,
-//! worker-pool vs event-loop frontend.
+//! E21/E25 — serving throughput: requests/sec of the HTTP layer end to
+//! end.
 //!
-//! Each iteration boots nothing: one server per frontend (n bins at
-//! target load, the balanced auto-rebalance policy) lives for the whole
-//! group, and every iteration pushes a fixed number of `POST /v1/arrive`
-//! requests through real loopback sockets with the built-in closed-loop
-//! generator.  Wall time per iteration over the fixed request count is
-//! therefore the serving throughput, with all of HTTP parsing, the engine
-//! command path and the RLS rebalance work on the measured path.
+//! Each iteration boots nothing: one server (n bins at target load, the
+//! balanced auto-rebalance policy) lives for the whole group, and every
+//! iteration pushes a fixed number of requests (half arrivals, half
+//! departures) through real loopback sockets with the built-in
+//! closed-loop generator.  Wall time per iteration over the fixed request
+//! count is therefore the serving throughput, with all of HTTP parsing,
+//! the engine command path and the RLS rebalance work on the measured
+//! path.
 //!
 //! Two effects are visible:
 //! * pipeline depth 1 prices the full per-request round trip (client
-//!   syscalls, frontend wake-up, engine hop) — latency-bound on loopback;
+//!   syscalls, loop wake-up, engine apply) — latency-bound on loopback;
 //! * pipeline depth 16 amortizes those hops (the server answers a
 //!   pipelined burst with one engine batch and one write), which is where
 //!   the ≥100k requests/s regime lives even on a single core.
 //!
-//! **Paired sampling.**  The frontends are *interleaved sample by sample*
-//! (worker-pool, event-loop, worker-pool, …) rather than measured in two
-//! separate blocks: on a shared box the clock drifts — frequency scaling,
-//! background load — and a block design silently charges all of the drift
-//! to whichever frontend ran second.  Adjacent samples see the same box,
-//! so the per-round ratio is drift-free; the recorded
-//! `event_over_worker_speedup` row is the median of those per-round
-//! ratios.
+//! Each depth records `mean_ms` and `median_ms` per iteration, plus
+//! `requests_per_sec` at the median.
 
 use std::time::{Duration, Instant};
 
@@ -31,9 +26,7 @@ use criterion::{append_custom_record, criterion_group, criterion_main, Criterion
 use rls_core::{Config, RlsRule};
 use rls_live::{LiveEngine, LiveParams};
 use rls_obs::Registry;
-use rls_serve::{
-    drive, serve, BenchOptions, DriveMode, Frontend, ServeCore, ServePolicy, ServerConfig,
-};
+use rls_serve::{drive, serve, BenchOptions, DriveMode, ServeCore, ServePolicy, ServerConfig};
 use rls_workloads::ArrivalProcess;
 
 const N: usize = 64;
@@ -51,7 +44,7 @@ fn requests_per_iter() -> u64 {
     }
 }
 
-fn boot(registry: &Registry, frontend: Frontend) -> rls_serve::HttpServer {
+fn boot(registry: &Registry) -> rls_serve::HttpServer {
     let m = N as u64 * PER_BIN;
     let initial = Config::uniform(N, PER_BIN).expect("bench instance is valid");
     let params = LiveParams::balanced(ArrivalProcess::Poisson { rate_per_bin: 1.0 }, N, m)
@@ -69,15 +62,7 @@ fn boot(registry: &Registry, frontend: Frontend) -> rls_serve::HttpServer {
     // The telemetry tap rides along for free (write-only atomics off the
     // measured path): its counters feed the BENCH_serve.json records.
     core.attach_metrics(registry);
-    serve(
-        core,
-        &ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: CONNECTIONS,
-            frontend,
-        },
-    )
-    .expect("ephemeral server boots")
+    serve(core, &ServerConfig::default()).expect("ephemeral server boots")
 }
 
 /// One timed drive of `requests` through the server at `addr`.
@@ -107,61 +92,34 @@ fn human_ms(d: Duration) -> f64 {
 
 fn serving_throughput(_c: &mut Criterion) {
     let requests = requests_per_iter();
-    // Both frontends live for the whole group: same instance parameters,
-    // same generator, directly comparable rows in BENCH_serve.json.
-    let frontends = [Frontend::WorkerPool, Frontend::EventLoop];
-    let booted: Vec<_> = frontends
-        .iter()
-        .map(|&f| {
-            let registry = Registry::new();
-            let server = boot(&registry, f);
-            (f, server)
-        })
-        .collect();
+    let registry = Registry::new();
+    let server = boot(&registry);
 
     for pipeline in [1usize, 16] {
-        // One untimed warm-up drive per frontend, then paired rounds.
-        for (_, server) in &booted {
-            sample(server.addr(), pipeline, requests);
-        }
-        let mut times: [Vec<Duration>; 2] = [Vec::new(), Vec::new()];
-        for _ in 0..SAMPLES {
-            for (i, (_, server)) in booted.iter().enumerate() {
-                times[i].push(sample(server.addr(), pipeline, requests));
-            }
-        }
-        for (i, (frontend, _)) in booted.iter().enumerate() {
-            let mean = times[i].iter().sum::<Duration>() / times[i].len() as u32;
-            let rps = requests as f64 / mean.as_secs_f64();
-            let name = format!(
-                "serving_throughput/closed_loop_{frontend}_{CONNECTIONS}conns_pipeline{pipeline}_{requests}reqs"
-            );
-            println!(
-                "{name:<78} mean {:>9.2} ms ({} samples, {:.0} req/s)",
-                human_ms(mean),
-                times[i].len(),
-                rps,
-            );
-            append_custom_record(&format!("{name}/mean_ms"), human_ms(mean));
-            append_custom_record(&format!("{name}/requests_per_sec"), rps);
-        }
-        // Median of per-round ratios: each round's two samples are
-        // adjacent in time, so box drift cancels instead of biasing one
-        // frontend.
-        let mut ratios: Vec<f64> = times[0]
-            .iter()
-            .zip(&times[1])
-            .map(|(wp, el)| wp.as_secs_f64() / el.as_secs_f64())
+        // One untimed warm-up drive, then the timed samples.
+        sample(server.addr(), pipeline, requests);
+        let mut times: Vec<Duration> = (0..SAMPLES)
+            .map(|_| sample(server.addr(), pipeline, requests))
             .collect();
-        ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
-        let median = ratios[ratios.len() / 2];
+        times.sort();
+        let mean = times.iter().sum::<Duration>() / times.len() as u32;
+        let median = times[times.len() / 2];
+        let rps = requests as f64 / median.as_secs_f64();
         let name = format!(
-            "serving_throughput/closed_loop_{CONNECTIONS}conns_pipeline{pipeline}_{requests}reqs/event_over_worker_speedup"
+            "serving_throughput/closed_loop_{CONNECTIONS}conns_pipeline{pipeline}_{requests}reqs"
         );
-        println!("{name:<78} median {median:>7.2}x");
-        append_custom_record(&name, median);
+        println!(
+            "{name:<66} median {:>9.2} ms, mean {:>9.2} ms ({} samples, {:.0} req/s)",
+            human_ms(median),
+            human_ms(mean),
+            times.len(),
+            rps,
+        );
+        append_custom_record(&format!("{name}/mean_ms"), human_ms(mean));
+        append_custom_record(&format!("{name}/median_ms"), human_ms(median));
+        append_custom_record(&format!("{name}/requests_per_sec"), rps);
     }
-    drop(booted);
+    server.shutdown();
 }
 
 criterion_group!(benches, serving_throughput);

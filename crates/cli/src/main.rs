@@ -34,12 +34,12 @@ usage: rls-experiments [--scale quick|full] [--seed N] [--list] [e1 e2 ... | all
        rls-experiments serve run    [--addr HOST:PORT] [--n N] [--m M] [--workload W]
                                     [--arrival A] [--service MU] [--policy P]
                                     [--topology T] [--seed S] [--warmup T]
-                                    [--rebalance R] [--workers K] [--for SECONDS]
+                                    [--rebalance R] [--for SECONDS]
                                     [--weights DIST] [--speeds PROFILE]
        rls-experiments serve bench  [--addr HOST:PORT] [--connections C]
                                     [--duration SECONDS] [--requests N] [--rps TARGET]
                                     [--depart-frac F] [server flags as for `serve run`]
-       rls-experiments serve replay <log.json> [--addr HOST:PORT] [--workers K]
+       rls-experiments serve replay <log.json> [--addr HOST:PORT]
 
 The bare form runs the numbered experiment catalogue (`--list` names every
 experiment; see docs/EXPERIMENTS.md).  `campaign` sweeps declarative TOML/JSON

@@ -5,13 +5,12 @@
 //! rls-experiments serve run    [--addr HOST:PORT] [--n N] [--m M] [--workload W]
 //!                              [--arrival A] [--service MU] [--policy P]
 //!                              [--topology T] [--seed S] [--warmup T]
-//!                              [--rebalance R] [--workers K] [--for SECONDS]
+//!                              [--rebalance R] [--for SECONDS]
 //!                              [--weights DIST] [--speeds PROFILE]
-//!                              [--frontend worker-pool|event-loop]
 //! rls-experiments serve bench  [--addr HOST:PORT | server flags as for run]
 //!                              [--connections C] [--duration SECONDS] [--requests N]
 //!                              [--rps TARGET] [--depart-frac F]
-//! rls-experiments serve replay <log.json> [--addr HOST:PORT] [--workers K]
+//! rls-experiments serve replay <log.json> [--addr HOST:PORT]
 //! ```
 //!
 //! `run` boots the balancer and serves until killed (or for `--for`
@@ -39,7 +38,7 @@ use rls_live::{EventLog, LiveEngine, LiveParams};
 use rls_obs::Registry;
 use rls_rng::rng_from_seed;
 use rls_serve::{
-    core_from_log, drive, replay_over_http, serve, BenchOptions, BenchReport, DriveMode, Frontend,
+    core_from_log, drive, replay_over_http, serve, BenchOptions, BenchReport, DriveMode,
     HttpServer, ServeCore, ServePolicy, ServerConfig,
 };
 use rls_workloads::{SpeedProfile, WeightDist, Workload};
@@ -57,8 +56,6 @@ pub enum ServeCommand {
         log: String,
         /// External server to drive (`None` = boot one from the log).
         addr: Option<String>,
-        /// Worker threads when self-booting.
-        workers: usize,
     },
 }
 
@@ -90,11 +87,6 @@ pub struct ServeArgs {
     /// Mean auto-rebalance rings per arrival (`None` = the balanced
     /// default `m / λ`, the paper's ring-to-arrival ratio).
     pub rebalance: Option<f64>,
-    /// Worker threads.
-    pub workers: usize,
-    /// Connection-handling frontend (`worker-pool` is the default;
-    /// `event-loop` runs the single-threaded nonblocking loop).
-    pub frontend: Frontend,
     /// Exit after this many wall-clock seconds (`None` = serve forever).
     pub for_seconds: Option<f64>,
     /// Ball-weight law (`unit` = the classic engine).
@@ -121,8 +113,6 @@ impl Default for ServeArgs {
             seed: 0xC0FFEE,
             warmup: 0.0,
             rebalance: None,
-            workers: 4,
-            frontend: Frontend::WorkerPool,
             for_seconds: None,
             weights: WeightDist::Unit,
             speeds: SpeedProfile::Uniform,
@@ -210,8 +200,6 @@ fn parse_server_flag(
         "--seed" => args.seed = parse_num(&value("a seed")?, "--seed")?,
         "--warmup" => args.warmup = parse_num(&value("a duration")?, "--warmup")?,
         "--rebalance" => args.rebalance = Some(parse_num(&value("a mean")?, "--rebalance")?),
-        "--workers" => args.workers = parse_num(&value("a thread count")?, "--workers")?,
-        "--frontend" => args.frontend = value("a frontend")?.parse()?,
         "--for" => args.for_seconds = Some(parse_num(&value("seconds")?, "--for")?),
         "--weights" => args.weights = value("a weight distribution")?.parse().map_err(str_of)?,
         "--speeds" => args.speeds = value("a speed profile")?.parse().map_err(str_of)?,
@@ -297,7 +285,6 @@ fn parse_bench(raw: &[String]) -> Result<BenchArgs, String> {
 fn parse_replay(raw: &[String]) -> Result<ServeCommand, String> {
     let mut log = None;
     let mut addr = None;
-    let mut workers = 2usize;
     let mut i = 0;
     while i < raw.len() {
         let flag = raw[i].as_str();
@@ -307,7 +294,6 @@ fn parse_replay(raw: &[String]) -> Result<ServeCommand, String> {
         };
         match flag {
             "--addr" => addr = Some(value("an address")?),
-            "--workers" => workers = parse_num(&value("a thread count")?, "--workers")?,
             path if !path.starts_with("--") && log.is_none() => log = Some(path.to_string()),
             other => return Err(format!("unknown serve replay argument `{other}`")),
         }
@@ -316,7 +302,6 @@ fn parse_replay(raw: &[String]) -> Result<ServeCommand, String> {
     Ok(ServeCommand::Replay {
         log: log.ok_or("serve replay needs a log file path")?,
         addr,
-        workers,
     })
 }
 
@@ -406,8 +391,6 @@ fn boot(args: &ServeArgs) -> Result<(HttpServer, f64, Registry), String> {
         core,
         &ServerConfig {
             addr: args.addr.clone(),
-            workers: args.workers,
-            frontend: args.frontend,
         },
     )
     .map_err(|e| format!("bind {}: {e}", args.addr))?;
@@ -444,7 +427,7 @@ pub fn execute_serve(command: &ServeCommand) -> Result<String, String> {
     match command {
         ServeCommand::Run(args) => run_cmd(args),
         ServeCommand::Bench(args) => bench_cmd(args),
-        ServeCommand::Replay { log, addr, workers } => replay_cmd(log, addr.as_deref(), *workers),
+        ServeCommand::Replay { log, addr } => replay_cmd(log, addr.as_deref()),
     }
 }
 
@@ -457,7 +440,7 @@ fn run_cmd(args: &ServeArgs) -> Result<String, String> {
     let mut out = format!(
         "rls-serve listening on http://{}\n  n = {}, m = {}, arrival {}, seed {}, \
          policy {}, topology {}, weights {}, speeds {}, \
-         auto-rebalance {rings:.2} rings/arrival, {} workers, {} frontend\n  \
+         auto-rebalance {rings:.2} rings/arrival\n  \
          POST /v1/arrive · POST /v1/depart[/{{bin}}] · POST /v1/ring · GET /v1/stats · \
          GET /v1/snapshot · POST /v1/restore · GET /healthz · GET /v1/metrics · \
          GET /v1/debug/flight\n",
@@ -470,8 +453,6 @@ fn run_cmd(args: &ServeArgs) -> Result<String, String> {
         args.topology,
         args.weights,
         args.speeds,
-        args.workers,
-        args.frontend,
     );
     match args.for_seconds {
         Some(seconds) => {
@@ -548,9 +529,8 @@ fn bench_cmd(args: &BenchArgs) -> Result<String, String> {
             match &args.addr {
                 Some(addr) => format!(", external {addr}"),
                 None => format!(
-                    ", self-booted n = {}, m = {}, {} workers, {} frontend, \
-                     {rings:.2} rings/arrival",
-                    args.server.n, args.server.m, args.server.workers, args.server.frontend
+                    ", self-booted n = {}, m = {}, {rings:.2} rings/arrival",
+                    args.server.n, args.server.m
                 ),
             },
         ),
@@ -595,7 +575,7 @@ fn render_report(table: &mut crate::table::Table, report: &BenchReport, open_loo
     }
 }
 
-fn replay_cmd(log_path: &str, addr: Option<&str>, workers: usize) -> Result<String, String> {
+fn replay_cmd(log_path: &str, addr: Option<&str>) -> Result<String, String> {
     let text =
         std::fs::read_to_string(log_path).map_err(|e| format!("cannot read `{log_path}`: {e}"))?;
     let log = EventLog::from_json(&text).map_err(str_of)?;
@@ -609,8 +589,6 @@ fn replay_cmd(log_path: &str, addr: Option<&str>, workers: usize) -> Result<Stri
                     core,
                     &ServerConfig {
                         addr: "127.0.0.1:0".to_string(),
-                        workers,
-                        frontend: Frontend::WorkerPool,
                     },
                 )
                 .map_err(str_of)?,
@@ -681,8 +659,6 @@ mod tests {
             "poisson:2",
             "--rebalance",
             "4",
-            "--workers",
-            "3",
             "--addr",
             "127.0.0.1:0",
             "--for",
@@ -692,7 +668,7 @@ mod tests {
         let ServeCommand::Run(args) = cmd else {
             panic!("expected run");
         };
-        assert_eq!((args.n, args.m, args.workers), (32, 256, 3));
+        assert_eq!((args.n, args.m), (32, 256));
         assert_eq!(args.rebalance, Some(4.0));
         assert_eq!(args.for_seconds, Some(0.5));
 
@@ -719,11 +695,10 @@ mod tests {
         assert!(args.addr.is_none());
 
         assert_eq!(
-            parse_serve_args(&strings(&["replay", "log.json", "--workers", "1"])).unwrap(),
+            parse_serve_args(&strings(&["replay", "log.json", "--addr", "127.0.0.1:9"])).unwrap(),
             ServeCommand::Replay {
                 log: "log.json".into(),
-                addr: None,
-                workers: 1,
+                addr: Some("127.0.0.1:9".into()),
             }
         );
 
@@ -769,23 +744,11 @@ mod tests {
             }
         );
 
-        let cmd = parse_serve_args(&strings(&["run", "--frontend", "event-loop"])).unwrap();
-        let ServeCommand::Run(args) = cmd else {
-            panic!("expected run");
-        };
-        assert_eq!(args.frontend, Frontend::EventLoop);
-        let cmd = parse_serve_args(&strings(&["bench", "--frontend", "worker-pool"])).unwrap();
-        let ServeCommand::Bench(args) = cmd else {
-            panic!("expected bench");
-        };
-        assert_eq!(args.server.frontend, Frontend::WorkerPool);
-
         for bad in [
             &[][..],
             &["frobnicate"],
             &["run", "--n", "0"],
             &["run", "--wat"],
-            &["run", "--frontend", "nope"],
             &["run", "--for", "-1"],
             &["run", "--policy", "nope"],
             &["run", "--topology", "klein-bottle"],
@@ -800,6 +763,32 @@ mod tests {
             &["replay", "a.json", "b.json"],
         ] {
             assert!(parse_serve_args(&strings(bad)).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn frontend_and_workers_flags_are_unknown() {
+        // The server has one frontend and one thread: neither flag parses.
+        for (bad, unknown) in [
+            (
+                &["run", "--frontend", "event-loop"][..],
+                "serve run flag `--frontend`",
+            ),
+            (
+                &["bench", "--frontend", "worker-pool"],
+                "serve bench flag `--frontend`",
+            ),
+            (&["run", "--workers", "4"], "serve run flag `--workers`"),
+            (
+                &["replay", "log.json", "--workers", "2"],
+                "serve replay argument `--workers`",
+            ),
+        ] {
+            let err = parse_serve_args(&strings(bad)).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown {unknown}")),
+                "{bad:?}: {err}"
+            );
         }
     }
 
@@ -895,7 +884,6 @@ mod tests {
                 addr: "127.0.0.1:0".to_string(),
                 n: 16,
                 m: 128,
-                workers: 2,
                 ..ServeArgs::default()
             },
             ..BenchArgs::default()
@@ -916,7 +904,6 @@ mod tests {
                 addr: "127.0.0.1:0".to_string(),
                 n: 16,
                 m: 128,
-                workers: 2,
                 ..ServeArgs::default()
             },
             ..BenchArgs::default()
@@ -974,7 +961,6 @@ mod tests {
         let out = execute_serve(&ServeCommand::Replay {
             log: path.to_string_lossy().to_string(),
             addr: None,
-            workers: 2,
         })
         .unwrap();
         assert!(out.contains("bit-identical ✓"), "{out}");

@@ -6,17 +6,18 @@
 //! requests are strictly sequential, which is also what makes a
 //! single-client drive of the server deterministic.
 
-use std::io::{self, Write as _};
+use std::io::{self, Read as _, Write as _};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use crate::http::{self, MessageReader};
+use crate::http;
 
 /// One keep-alive connection to an `rls-serve` server.
 #[derive(Debug)]
 pub struct HttpClient {
     stream: TcpStream,
-    reader: MessageReader,
+    /// Response bytes read but not yet parsed into a frame.
+    buf: Vec<u8>,
     out: Vec<u8>,
 }
 
@@ -28,7 +29,7 @@ impl HttpClient {
         stream.set_read_timeout(Some(Duration::from_secs(10)))?;
         Ok(Self {
             stream,
-            reader: MessageReader::new(),
+            buf: Vec::with_capacity(http::READ_CHUNK),
             out: Vec::with_capacity(512),
         })
     }
@@ -44,9 +45,8 @@ impl HttpClient {
     /// Several sends may be in flight at once (HTTP/1.1 pipelining);
     /// responses come back in order.
     pub fn send(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<()> {
-        http::write_request(&mut self.stream, &mut self.out, method, path, body)?;
-        self.out.clear();
-        Ok(())
+        self.queue(method, path, body);
+        self.flush()
     }
 
     /// Buffer a request without writing it — pair with
@@ -86,29 +86,37 @@ impl HttpClient {
     /// Read the next response frame and extract what the caller needs
     /// while the bytes are still borrowed from the connection buffer.
     fn recv_frame<T>(&mut self, read: impl FnOnce(&http::Frame<'_>) -> T) -> io::Result<T> {
-        // `next_frame_with` reports an idle timeout the same way as a
-        // clean close (`Ok(None)`); track which one actually happened so a
-        // slow server is not misdiagnosed as a disconnect.
-        let mut timed_out = false;
-        self.reader
-            .next_frame_with(
-                &mut self.stream,
-                &mut || {
-                    timed_out = true;
-                    false
-                },
-                read,
-            )?
-            .ok_or_else(|| {
-                if timed_out {
-                    io::Error::new(
+        let mut chunk = [0u8; http::READ_CHUNK];
+        loop {
+            if let Some((frame, used)) = http::parse_frame(&self.buf)? {
+                let value = read(&frame);
+                // Keep any pipelined responses for the next call.
+                self.buf.drain(..used);
+                return Ok(value);
+            }
+            match self.stream.read(&mut chunk) {
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "server closed the connection",
+                    ));
+                }
+                Ok(k) => self.buf.extend_from_slice(&chunk[..k]),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    return Err(io::Error::new(
                         io::ErrorKind::TimedOut,
                         "timed out waiting for the response",
-                    )
-                } else {
-                    io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
+                    ));
                 }
-            })
+                Err(e) => return Err(e),
+            }
+        }
     }
 
     /// [`request`](Self::request) expecting a 200 with a JSON body;

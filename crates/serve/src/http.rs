@@ -1,17 +1,17 @@
-//! Minimal HTTP/1.1 message framing over `std::net::TcpStream`.
+//! Minimal HTTP/1.1 message framing.
 //!
 //! Just enough of RFC 7230 for this crate's API: start line, headers,
 //! `Content-Length`-framed bodies and keep-alive.  No chunked encoding, no
 //! TLS, no HTTP/2 — both peers are this workspace's own server and client,
 //! plus anything curl-shaped.
 //!
-//! Parsing is buffer-first: [`MessageReader`] accumulates raw bytes per
-//! connection and splits complete messages out of them, so read timeouts
-//! (used by the server to poll its shutdown flag) never lose partial data,
-//! and pipelined messages are handled for free.
+//! Parsing is buffer-first: each peer accumulates raw bytes per
+//! connection and [`parse_frame`] splits complete messages off the front
+//! without copying, so a message split across reads is never lost and
+//! pipelined messages are handled for free.  The server and the
+//! [`HttpClient`](crate::HttpClient) share this one parser.
 
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::io;
 
 /// Hard cap on the head (start line + headers) of a message.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -19,148 +19,13 @@ pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// biggest legitimate payload).
 pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
 
-/// One parsed message: the start line, the two framing headers this
-/// protocol needs, and the body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Message {
-    /// The start line, e.g. `POST /v1/arrive HTTP/1.1` or `HTTP/1.1 200 OK`.
-    pub start_line: String,
-    /// Whether the peer asked to close the connection after this message.
-    pub close: bool,
-    /// The body (empty when there was no `Content-Length`).
-    pub body: Vec<u8>,
-}
-
-/// Accumulates bytes from one connection and yields complete messages.
-#[derive(Debug, Default)]
-pub struct MessageReader {
-    buf: Vec<u8>,
-}
-
-/// What a single read attempt produced.
-enum Fill {
-    /// More bytes arrived.
-    Data,
-    /// The peer closed the connection.
-    Eof,
-    /// The read timed out (the socket has a read timeout configured).
-    TimedOut,
-}
-
-impl MessageReader {
-    /// A reader with an empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Read one complete message.
-    ///
-    /// Returns `Ok(None)` on a clean close (EOF at a message boundary).
-    /// When a read times out, `keep_waiting` decides whether to keep
-    /// listening (the server polls its shutdown flag here): `false` ends
-    /// the connection — cleanly if no partial message is buffered,
-    /// with `TimedOut` otherwise.
-    pub fn next_message(
-        &mut self,
-        stream: &mut TcpStream,
-        keep_waiting: &mut dyn FnMut() -> bool,
-    ) -> io::Result<Option<Message>> {
-        self.next_frame_with(stream, keep_waiting, |frame| Message {
-            start_line: frame.start_line.to_string(),
-            close: frame.close,
-            body: frame.body.to_vec(),
-        })
-    }
-
-    /// Read one complete message and hand the zero-copy [`Frame`] to
-    /// `read` before the buffer is drained — the allocation-free
-    /// counterpart of [`next_message`](Self::next_message) for callers
-    /// (like the load generator) that only need a couple of fields.
-    pub fn next_frame_with<T>(
-        &mut self,
-        stream: &mut TcpStream,
-        keep_waiting: &mut dyn FnMut() -> bool,
-        read: impl FnOnce(&Frame<'_>) -> T,
-    ) -> io::Result<Option<T>> {
-        loop {
-            if let Some((frame, used)) = parse_frame(&self.buf)? {
-                let value = read(&frame);
-                self.buf.drain(..used);
-                return Ok(Some(value));
-            }
-            match self.fill(stream)? {
-                Fill::Data => {}
-                Fill::Eof if self.buf.is_empty() => return Ok(None),
-                Fill::Eof => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "connection closed mid-message",
-                    ));
-                }
-                Fill::TimedOut => {
-                    if keep_waiting() {
-                        continue;
-                    }
-                    if self.buf.is_empty() {
-                        return Ok(None);
-                    }
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "timed out mid-message",
-                    ));
-                }
-            }
-        }
-    }
-
-    /// Parse one message purely from already-buffered bytes — no socket
-    /// read.  `Ok(None)` means the buffer holds no complete message yet.
-    /// The server uses this to drain a pipelined burst into one batch.
-    pub fn buffered_message(&mut self) -> io::Result<Option<Message>> {
-        // One shared parser for both frontends: the worker pool copies the
-        // zero-copy frame into an owned message (its batches outlive the
-        // buffer), the event loop answers straight off the borrow.
-        let Some((frame, used)) = parse_frame(&self.buf)? else {
-            return Ok(None);
-        };
-        let message = Message {
-            start_line: frame.start_line.to_string(),
-            close: frame.close,
-            body: frame.body.to_vec(),
-        };
-        // Keep any pipelined bytes for the next message.
-        self.buf.drain(..used);
-        Ok(Some(message))
-    }
-
-    fn fill(&mut self, stream: &mut TcpStream) -> io::Result<Fill> {
-        let mut chunk = [0u8; 8 * 1024];
-        match stream.read(&mut chunk) {
-            Ok(0) => Ok(Fill::Eof),
-            Ok(k) => {
-                self.buf.extend_from_slice(&chunk[..k]);
-                Ok(Fill::Data)
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                Ok(Fill::TimedOut)
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(Fill::TimedOut),
-            Err(e) => Err(e),
-        }
-    }
-}
+/// Bytes a peer asks of its socket per read.
+pub(crate) const READ_CHUNK: usize = 8 * 1024;
 
 /// A zero-copy view of one HTTP/1.1 message parsed straight out of a
 /// connection buffer: every field borrows the buffer, so a pipelined
-/// burst parses without a single per-frame allocation.  The event-loop
-/// frontend routes requests directly off these borrows; the worker pool's
-/// [`MessageReader`] copies them into owned [`Message`]s because its
-/// batches outlive the read buffer.
+/// burst parses without a single per-frame allocation.  The server
+/// routes requests directly off these borrows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Frame<'a> {
     /// The start line, e.g. `POST /v1/arrive HTTP/1.1`.
@@ -177,9 +42,8 @@ pub struct Frame<'a> {
 /// drains them once the frame is answered.  `Ok(None)` means the buffer
 /// holds no complete message yet (keep reading).  Framing errors — the
 /// head/body size caps, a non-UTF-8 head, a bad `Content-Length` — are
-/// `InvalidData`, with the same messages either frontend maps to 413
-/// ([`is_too_large`]) or 400, so hardened edge semantics cannot drift
-/// between them.
+/// `InvalidData`, with the messages the server maps to 413
+/// ([`is_too_large`]) or 400.
 pub fn parse_frame(buf: &[u8]) -> io::Result<Option<(Frame<'_>, usize)>> {
     // A complete head (terminated by CRLFCRLF)?
     let head_end = match find_head_end(buf) {
@@ -263,6 +127,7 @@ pub fn reason_phrase(status: u16) -> &'static str {
         405 => "Method Not Allowed",
         409 => "Conflict",
         413 => "Payload Too Large",
+        503 => "Service Unavailable",
         _ => "Internal Server Error",
     }
 }
@@ -317,19 +182,6 @@ fn push_decimal(out: &mut Vec<u8>, mut v: u64) {
     out.extend_from_slice(&digits[i..]);
 }
 
-/// Serialize a response into `out` (cleared first) and write it.
-pub fn write_response(
-    stream: &mut TcpStream,
-    out: &mut Vec<u8>,
-    status: u16,
-    body: &[u8],
-    keep_alive: bool,
-) -> io::Result<()> {
-    out.clear();
-    append_response(out, status, body, keep_alive);
-    stream.write_all(out)
-}
-
 /// Append one serialized request to `out` (the client batches a
 /// pipelined burst into a single write).
 pub fn append_request(out: &mut Vec<u8>, method: &str, path: &str, body: &[u8]) {
@@ -344,90 +196,98 @@ pub fn append_request(out: &mut Vec<u8>, method: &str, path: &str, body: &[u8]) 
     out.extend_from_slice(body);
 }
 
-/// Serialize a request into `out` (cleared first) and write it.
-pub fn write_request(
-    stream: &mut TcpStream,
-    out: &mut Vec<u8>,
-    method: &str,
-    path: &str,
-    body: &[u8],
-) -> io::Result<()> {
-    out.clear();
-    append_request(out, method, path, body);
-    stream.write_all(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
 
-    /// Feed raw bytes through a real socket pair and parse them.
-    fn parse_bytes(chunks: &[&[u8]]) -> io::Result<Vec<Message>> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let chunks: Vec<Vec<u8>> = chunks.iter().map(|c| c.to_vec()).collect();
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            for c in &chunks {
-                // The reader may reject and hang up mid-write (e.g. the
-                // oversized-head test): a send error is fine here.
-                if s.write_all(c).is_err() {
-                    break;
-                }
+    /// An owned copy of a [`Frame`], comparable across buffers.
+    type Owned = (String, bool, Vec<u8>);
+
+    /// Feed `chunks` one at a time into a growing buffer, splitting off
+    /// every frame complete so far after each one — exactly how a peer
+    /// reads a socket.  Returns the frames and the unconsumed tail.
+    fn parse_chunks(chunks: &[&[u8]]) -> io::Result<(Vec<Owned>, Vec<u8>)> {
+        let mut buf = Vec::new();
+        let mut frames = Vec::new();
+        for chunk in chunks {
+            buf.extend_from_slice(chunk);
+            while let Some((frame, used)) = parse_frame(&buf)? {
+                frames.push((
+                    frame.start_line.to_string(),
+                    frame.close,
+                    frame.body.to_vec(),
+                ));
+                buf.drain(..used);
             }
-            // Drop closes the write side.
-        });
-        let (mut stream, _) = listener.accept().unwrap();
-        let mut reader = MessageReader::new();
-        let mut messages = Vec::new();
-        let outcome = loop {
-            match reader.next_message(&mut stream, &mut || true) {
-                Ok(Some(m)) => messages.push(m),
-                Ok(None) => break Ok(messages),
-                Err(e) => break Err(e),
-            }
-        };
-        drop(stream);
-        writer.join().unwrap();
-        outcome
+        }
+        Ok((frames, buf))
     }
+
+    const PIPELINED: &[u8] = b"POST /v1/arrive HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}\
+        GET /healthz HTTP/1.1\r\n\r\n\
+        POST /v1/ring HTTP/1.1\r\nContent-Length: 13\r\n\r\n{\"source\": 1}\
+        GET /v1/stats HTTP/1.1\r\nConnection: close\r\n\r\n";
 
     #[test]
     fn parses_requests_with_and_without_bodies() {
-        let messages = parse_bytes(&[
+        let (frames, rest) = parse_chunks(&[
             b"GET /v1/stats HTTP/1.1\r\nHost: x\r\n\r\n",
             b"POST /v1/arrive HTTP/1.1\r\nContent-Length: 9\r\n\r\n{\"bin\":3}",
         ])
         .unwrap();
-        assert_eq!(messages.len(), 2);
-        assert_eq!(messages[0].start_line, "GET /v1/stats HTTP/1.1");
-        assert!(messages[0].body.is_empty());
-        assert_eq!(messages[1].body, b"{\"bin\":3}");
-        assert!(!messages[1].close);
+        assert!(rest.is_empty());
+        assert_eq!(frames.len(), 2);
+        assert_eq!(frames[0].0, "GET /v1/stats HTTP/1.1");
+        assert!(frames[0].2.is_empty());
+        assert_eq!(frames[1].2, b"{\"bin\":3}");
+        assert!(!frames[1].1);
     }
 
     #[test]
     fn split_and_pipelined_messages_both_work() {
-        // One request split across 3 writes, then two pipelined in one.
-        let messages = parse_bytes(&[
-            b"POST /v1/arrive HTT",
-            b"P/1.1\r\nContent-Len",
-            b"gth: 2\r\n\r\n{}",
-            b"GET /healthz HTTP/1.1\r\n\r\nGET /v1/stats HTTP/1.1\r\nConnection: close\r\n\r\n",
-        ])
-        .unwrap();
-        assert_eq!(messages.len(), 3);
-        assert_eq!(messages[0].body, b"{}");
-        assert_eq!(messages[1].start_line, "GET /healthz HTTP/1.1");
-        assert!(messages[2].close);
+        // Any byte split of a valid pipelined stream — one cut or two —
+        // yields exactly the frames of the unsplit stream.
+        let (whole, rest) = parse_chunks(&[PIPELINED]).unwrap();
+        assert!(rest.is_empty());
+        assert_eq!(whole.len(), 4);
+        assert_eq!(whole[0].2, b"{}");
+        assert_eq!(whole[1].0, "GET /healthz HTTP/1.1");
+        assert_eq!(whole[2].2, b"{\"source\": 1}");
+        assert!(whole[3].1 && !whole[2].1);
+        let len = PIPELINED.len();
+        for a in 0..=len {
+            for b in a..=len {
+                let chunks = [&PIPELINED[..a], &PIPELINED[a..b], &PIPELINED[b..]];
+                let (frames, rest) = parse_chunks(&chunks).unwrap();
+                assert_eq!(frames, whole, "cuts at {a}, {b}");
+                assert!(rest.is_empty(), "cuts at {a}, {b}");
+            }
+        }
     }
 
     #[test]
     fn mid_message_eof_is_an_error() {
-        let err = parse_bytes(&[b"POST /v1/arrive HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}"])
-            .unwrap_err();
+        // A truncated body never parses as a frame; the client reports
+        // the peer closing on it as an unexpected EOF.
+        let truncated = b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n{}";
+        let (frames, rest) = parse_chunks(&[truncated]).unwrap();
+        assert!(frames.is_empty());
+        assert_eq!(rest, truncated);
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            use std::io::{Read as _, Write as _};
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut request = [0u8; 256];
+            let _ = stream.read(&mut request).unwrap();
+            stream.write_all(truncated).unwrap();
+            // Dropping the stream closes it mid-body.
+        });
+        let mut client = crate::HttpClient::connect(addr).unwrap();
+        let err = client.request("GET", "/healthz", b"").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        server.join().unwrap();
     }
 
     #[test]
@@ -436,8 +296,12 @@ mod tests {
             "GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
             "a".repeat(MAX_HEAD_BYTES + 1)
         );
-        let err = parse_bytes(&[big.as_bytes()]).unwrap_err();
+        // Even dribbled in small chunks, the head cap trips before the
+        // terminator ever arrives.
+        let chunks: Vec<&[u8]> = big.as_bytes().chunks(1000).collect();
+        let err = parse_chunks(&chunks).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(is_too_large(&err));
     }
 
     #[test]
@@ -468,7 +332,10 @@ mod tests {
         assert!(is_too_large(&err));
         // An oversized Content-Length is rejected from the head alone,
         // before any body bytes arrive.
-        let big_body = format!("POST /v1/restore HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
+        let big_body = format!(
+            "POST /v1/restore HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY_BYTES + 1
+        );
         let err = parse_frame(big_body.as_bytes()).unwrap_err();
         assert!(is_too_large(&err));
         let bad_len = b"GET / HTTP/1.1\r\nContent-Length: nope\r\n\r\n";
@@ -479,7 +346,7 @@ mod tests {
 
     #[test]
     fn reason_phrases_cover_the_emitted_statuses() {
-        for status in [200, 400, 404, 405, 409, 413, 500] {
+        for status in [200, 400, 404, 405, 409, 413, 500, 503] {
             assert!(!reason_phrase(status).is_empty());
         }
     }

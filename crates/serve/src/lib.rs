@@ -17,12 +17,11 @@
 //!   auto-rebalance policy.  Everything the server does over HTTP is a
 //!   method here, so tests and benchmarks can cross-check the HTTP path
 //!   against an offline core driven with the same seed.
-//! * [`serve`]/[`HttpServer`] — two interchangeable frontends selected by
-//!   [`Frontend`]: the default pre-forked worker-thread pool (shared
-//!   listener, core on a dedicated engine thread behind an mpsc command
-//!   channel) and a single-threaded nonblocking event loop (zero-copy
-//!   parsing, commands executed inline on the thread that owns the core).
-//!   Both are bit-identical to an offline [`ServeCore`] on the same seed.
+//! * [`serve`]/[`HttpServer`] — one thread running a nonblocking event
+//!   loop that owns the core: zero-copy parsing, commands executed
+//!   inline, a bounded blocking read in place of sleep-polling when idle,
+//!   and at most [`MAX_CONNECTIONS`] open connections.  Bit-identical to
+//!   an offline [`ServeCore`] on the same seed.
 //! * [`HttpClient`] — a minimal blocking keep-alive
 //!   client used by the load generator, the trace-replay driver and the
 //!   end-to-end tests.
@@ -34,7 +33,7 @@
 //!
 //! ## Determinism
 //!
-//! The engine thread applies commands in arrival order against a seeded
+//! The loop thread applies commands in arrival order against a seeded
 //! RNG, so a given command sequence produces one trajectory: driving the
 //! HTTP API from one connection is reproducible end to end, and
 //! `GET /v1/snapshot` / `POST /v1/restore` round-trip the exact state
@@ -66,7 +65,7 @@ pub use loadgen::{
     core_from_log, drive, replay_over_http, BenchOptions, BenchReport, DriveMode, ReplayOutcome,
 };
 pub use metrics::{endpoint_index, ServeMetrics, CATALOG, ENDPOINTS};
-pub use server::{serve, Frontend, HttpServer, ServerConfig};
+pub use server::{serve, HttpServer, ServerConfig, MAX_CONNECTIONS, PARK};
 
 /// An error with an HTTP status: everything a handler can reject.
 #[derive(Debug, Clone, PartialEq, Eq)]

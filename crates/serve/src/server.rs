@@ -1,29 +1,29 @@
-//! The HTTP server: a pre-forked worker pool around one engine thread.
+//! The HTTP server: one event-loop thread that owns the engine.
 //!
 //! ```text
-//!        TcpListener (shared, one accept per worker)
-//!   ┌─────────┬─────────┬─────────┐
-//!   │worker 0 │worker 1 │ … W−1   │   parse HTTP, route, serialize JSON
-//!   └────┬────┴────┬────┴────┬────┘
-//!        └── mpsc commands ──┘
-//!              ┌──────▼──────┐
-//!              │engine thread│   owns the ServeCore (engine + RNG + stats)
-//!              └─────────────┘
+//!   TcpListener (nonblocking)
+//!        │ accept burst (refuse past MAX_CONNECTIONS)
+//!   ┌────▼─────────────────────────────────────────┐
+//!   │ sweep:  for each connection state machine    │
+//!   │   read ──► parse frames (zero-copy) ──► route│
+//!   │   ──► execute on the core (inline) ──► buffer│
+//!   │   ──► write-back (partial writes resume)     │
+//!   │ idle:   park in one bounded blocking read    │
+//!   └──────────────────────────────────────────────┘
+//!          one thread owns the ServeCore directly
 //! ```
 //!
-//! All engine state lives on exactly one thread, so there are no locks on
-//! the hot path: workers decode a request into an engine command, send it
-//! over the channel with a reply sender, and block on the answer.  The
-//! engine applies commands strictly in channel order, which is what makes
+//! All engine state lives on the loop thread, so there are no locks and
+//! no channel hops on the hot path: requests are routed here
+//! ([`route`]), executed inline ([`execute`]) and answered in sweep order.
+//! For a single connection that is byte-stream order, which is what makes
 //! a single-connection drive of the HTTP API deterministic and lets tests
 //! cross-check the server against an offline [`ServeCore`] on the same
-//! seed.
+//! seed.  The loop itself lives in `event_loop.rs`.
 
-use std::io::{self, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{self, AssertUnwindSafe};
+use std::io;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -32,71 +32,116 @@ use rls_live::Snapshot;
 
 use crate::api::{AddBinRequest, ArriveRequest, DepartRequest, DrainBinRequest, RingRequest};
 use crate::core::ServeCore;
-use crate::http::{self, MessageReader};
-use crate::metrics::{endpoint_index, flight_kind, ServeMetrics, FLIGHT_NONE};
+use crate::metrics::{flight_kind, FLIGHT_NONE};
 use crate::ServeError;
 
-/// Which connection-handling frontend a server runs.  Both are
-/// bit-identical to the offline [`ServeCore`] on the same seed — they
-/// differ only in how requests reach the engine, never in what the engine
-/// does with them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Frontend {
-    /// The pre-forked blocking worker pool: one thread per worker sharing
-    /// the listener, commands funneled to a dedicated engine thread over
-    /// a channel.  The default.
-    #[default]
-    WorkerPool,
-    /// The single-threaded nonblocking event loop: a readiness sweep over
-    /// per-connection state machines, zero-copy parsing, and commands
-    /// executed inline on the loop thread (which owns the core — no
-    /// channel hop per command).
-    EventLoop,
-}
+/// Open connections the server holds at once.  Connection number
+/// `MAX_CONNECTIONS + 1` is accepted, answered `503` with
+/// `Connection: close`, and dropped — a refusal, never an unbounded sweep.
+pub const MAX_CONNECTIONS: usize = 1024;
 
-impl std::str::FromStr for Frontend {
-    type Err = String;
+/// Bound on one park of an idle server: the longest a request on any
+/// connection but the one the loop parked on — or a new connection, or a
+/// shutdown — waits for the loop to notice it.  The parked-on connection
+/// wakes the loop at once.
+pub const PARK: Duration = Duration::from_millis(2);
 
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "worker-pool" => Ok(Self::WorkerPool),
-            "event-loop" => Ok(Self::EventLoop),
-            other => Err(format!(
-                "unknown frontend `{other}` (expected `worker-pool` or `event-loop`)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for Frontend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Self::WorkerPool => "worker-pool",
-            Self::EventLoop => "event-loop",
-        })
-    }
-}
+/// Largest pipelined burst answered from one connection in one sweep.
+pub(crate) const MAX_BATCH: usize = 64;
 
 /// How a server is wired.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; use port `0` for an ephemeral port.
     pub addr: String,
-    /// Worker threads (each fully owns the connections it accepts).
-    /// Ignored by the event-loop frontend, which is single-threaded.
-    pub workers: usize,
-    /// Which connection-handling frontend to run.
-    pub frontend: Frontend,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            workers: 4,
-            frontend: Frontend::WorkerPool,
         }
     }
+}
+
+/// A running server; dropping it (or calling
+/// [`shutdown`](Self::shutdown)) stops the loop thread.
+pub struct HttpServer {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    engine: Option<JoinHandle<ServeCore>>,
+}
+
+impl HttpServer {
+    /// The address the server actually bound (resolves port `0`).
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stop the loop and hand back the final core (its engine holds the
+    /// final load vector and counters).  Returns within one park bound
+    /// of the loop: a loop blocked in `accept` is woken by a self-connect,
+    /// a loop parked in a read times out.
+    pub fn shutdown(mut self) -> ServeCore {
+        self.signal_stop();
+        self.engine
+            .take()
+            .expect("engine joined exactly once")
+            .join()
+            .expect("engine thread does not panic")
+    }
+
+    fn signal_stop(&self) {
+        // Release store / Acquire load pair on the stop flag: a loop that
+        // observes the flag also observes everything the stopping thread
+        // did first.  (SeqCst would add nothing: there is no second
+        // variable whose global order matters here.)
+        self.stop.store(true, Ordering::Release);
+        // Wake a loop blocked in accept(); a refused connect just means
+        // the loop is already gone.
+        let _ = TcpStream::connect_timeout(&wake_addr(self.addr), Duration::from_secs(1));
+    }
+}
+
+impl Drop for HttpServer {
+    fn drop(&mut self) {
+        // Best-effort stop for servers that were never shut down
+        // explicitly; the loop exits on its own.
+        if self.engine.is_some() {
+            self.signal_stop();
+        }
+    }
+}
+
+/// Where a self-connect reaches the listener: the bound address, with an
+/// unspecified IP (`0.0.0.0`, `::`) replaced by loopback.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// Boot a server over `core`: bind, go nonblocking, and spawn the one
+/// loop thread (it owns the core, so it is the engine thread the
+/// shutdown path joins for the final core).  Returns once the listener
+/// is bound and the loop is running.
+pub fn serve(core: ServeCore, config: &ServerConfig) -> io::Result<HttpServer> {
+    let listener = TcpListener::bind(&config.addr)?;
+    let addr = listener.local_addr()?;
+    listener.set_nonblocking(true)?;
+    let stop = Arc::new(AtomicBool::new(false));
+    let loop_stop = Arc::clone(&stop);
+    let engine = std::thread::Builder::new()
+        .name("rls-serve-event-loop".to_string())
+        .spawn(move || crate::event_loop::run(core, listener, loop_stop))?;
+    Ok(HttpServer {
+        addr,
+        stop,
+        engine: Some(engine),
+    })
 }
 
 /// A command decoded from one HTTP request.
@@ -113,196 +158,17 @@ pub(crate) enum EngineCmd {
     Health,
 }
 
-/// The engine thread's answer: a ready-to-send JSON body.
-type EngineReply = Result<String, ServeError>;
-
-struct EngineMsg {
-    cmd: EngineCmd,
-    reply: Sender<EngineReply>,
-    /// When the worker handed the command to the channel (queue-wait
-    /// stage timing; ignored when no metrics are attached).
-    enqueued: Instant,
-}
-
 /// Where a routed request is answered.
 #[derive(Debug)]
 pub(crate) enum Routed {
-    /// On the engine thread, in channel order.
+    /// By the engine: a command for [`execute`].
     Engine(EngineCmd),
-    /// On the worker: render the metric catalog (`GET /v1/metrics`).
+    /// From the telemetry atomics: render the metric catalog
+    /// (`GET /v1/metrics`).
     Metrics,
-    /// On the worker: dump the flight recorder (`GET /v1/debug/flight`).
+    /// From the telemetry atomics: dump the flight recorder
+    /// (`GET /v1/debug/flight`).
     Flight,
-}
-
-/// A running server; dropping it (or calling
-/// [`shutdown`](Self::shutdown)) stops every thread.
-pub struct HttpServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    workers: Vec<JoinHandle<()>>,
-    engine: Option<JoinHandle<ServeCore>>,
-}
-
-impl HttpServer {
-    /// Assemble a running server from its threads (the event-loop
-    /// frontend has no workers: its one loop thread owns the core and
-    /// plays the engine-thread role, so shutdown joins it the same way).
-    pub(crate) fn from_parts(
-        addr: SocketAddr,
-        stop: Arc<AtomicBool>,
-        workers: Vec<JoinHandle<()>>,
-        engine: JoinHandle<ServeCore>,
-    ) -> Self {
-        Self {
-            addr,
-            stop,
-            workers,
-            engine: Some(engine),
-        }
-    }
-
-    /// The address the server actually bound (resolves port `0`).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stop accepting, drain the threads and hand back the final core
-    /// (its engine holds the final load vector and counters).
-    pub fn shutdown(mut self) -> ServeCore {
-        // Release store / Acquire load pair on the stop flag: workers that
-        // observe the flag also observe everything the stopping thread did
-        // first. (SeqCst would add nothing: there is no second variable
-        // whose global order matters here.)
-        self.stop.store(true, Ordering::Release);
-        // Wake any worker parked in accept(); each dummy connection wakes
-        // at most one.
-        for _ in 0..self.workers.len() {
-            let _ = TcpStream::connect(self.addr);
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-        // With every worker gone, all command senders are dropped and the
-        // engine loop drains out.
-        self.engine
-            .take()
-            .expect("engine joined exactly once")
-            .join()
-            .expect("engine thread does not panic")
-    }
-}
-
-impl Drop for HttpServer {
-    fn drop(&mut self) {
-        // Best-effort stop for servers that were never shut down
-        // explicitly; threads exit on their next poll.
-        self.stop.store(true, Ordering::Release);
-        for _ in 0..self.workers.len() {
-            let _ = TcpStream::connect(self.addr);
-        }
-    }
-}
-
-/// Boot a server over `core` with the configured frontend.  Returns once
-/// the listener is bound and all threads are running.
-pub fn serve(core: ServeCore, config: &ServerConfig) -> io::Result<HttpServer> {
-    match config.frontend {
-        Frontend::WorkerPool => serve_worker_pool(core, config),
-        Frontend::EventLoop => crate::event_loop::serve(core, config),
-    }
-}
-
-/// Boot the pre-forked worker-pool frontend.
-fn serve_worker_pool(core: ServeCore, config: &ServerConfig) -> io::Result<HttpServer> {
-    let listener = TcpListener::bind(&config.addr)?;
-    let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-
-    let (cmd_tx, cmd_rx) = mpsc::channel::<EngineMsg>();
-    // Workers share the core's telemetry tap (if one is attached): they
-    // classify requests and time the parse/write stages themselves.
-    let metrics = core.metrics().cloned();
-    let engine = std::thread::Builder::new()
-        .name("rls-serve-engine".to_string())
-        .spawn(move || engine_loop(core, cmd_rx))?;
-
-    let mut workers = Vec::with_capacity(config.workers.max(1));
-    for i in 0..config.workers.max(1) {
-        let spawned = listener.try_clone().and_then(|listener| {
-            let stop = Arc::clone(&stop);
-            let cmd_tx = cmd_tx.clone();
-            let metrics = metrics.clone();
-            std::thread::Builder::new()
-                .name(format!("rls-serve-worker-{i}"))
-                .spawn(move || worker_loop(listener, stop, cmd_tx, metrics, i))
-        });
-        match spawned {
-            Ok(handle) => workers.push(handle),
-            Err(e) => {
-                // Unwind the partial boot: stop and wake the workers
-                // already parked in accept() so they (and, once their
-                // command senders drop, the engine thread) exit instead of
-                // leaking threads and the bound port.
-                stop.store(true, Ordering::Release);
-                for _ in 0..workers.len() {
-                    let _ = TcpStream::connect(addr);
-                }
-                for handle in workers {
-                    let _ = handle.join();
-                }
-                drop(cmd_tx);
-                let _ = engine.join();
-                return Err(e);
-            }
-        }
-    }
-    drop(cmd_tx);
-
-    Ok(HttpServer {
-        addr,
-        stop,
-        workers,
-        engine: Some(engine),
-    })
-}
-
-/// The engine thread: apply commands in channel order until every sender
-/// is gone, then hand the core back.
-///
-/// With metrics attached, each command is timed (queue wait + apply) and
-/// logged in the flight recorder; should the engine ever panic, the
-/// recorder's recent-event window is dumped to stderr before the panic
-/// propagates, so the post-mortem names the exact command sequence.
-fn engine_loop(mut core: ServeCore, rx: Receiver<EngineMsg>) -> ServeCore {
-    let metrics = core.metrics().cloned();
-    while let Ok(msg) = rx.recv() {
-        let queue_ns = elapsed_ns(msg.enqueued);
-        let apply_start = Instant::now();
-        let reply = match panic::catch_unwind(AssertUnwindSafe(|| execute(&mut core, &msg.cmd))) {
-            Ok(reply) => reply,
-            Err(cause) => {
-                if let Some(m) = &metrics {
-                    let (kind, a, b) = flight_coords(&msg.cmd);
-                    m.flight
-                        .record(kind, a, b, queue_ns, elapsed_ns(apply_start));
-                    eprintln!("engine thread panicked; flight recorder dump:");
-                    eprintln!("{}", m.flight_json());
-                }
-                panic::resume_unwind(cause);
-            }
-        };
-        if let Some(m) = &metrics {
-            let apply_ns = elapsed_ns(apply_start);
-            m.stage_queue_ns.record(queue_ns);
-            m.stage_apply_ns.record(apply_ns);
-            let (kind, a, b) = flight_coords(&msg.cmd);
-            m.flight.record(kind, a, b, queue_ns, apply_ns);
-        }
-        // A worker that died mid-request just drops its receiver.
-        let _ = msg.reply.send(reply);
-    }
-    core
 }
 
 pub(crate) fn elapsed_ns(since: Instant) -> u64 {
@@ -338,7 +204,9 @@ pub(crate) fn to_json<T: serde::Serialize>(value: &T) -> String {
     serde_json::to_string(value).expect("API replies always encode")
 }
 
-pub(crate) fn execute(core: &mut ServeCore, cmd: &EngineCmd) -> EngineReply {
+/// Apply one command to the core; the answer is a ready-to-send JSON
+/// body.
+pub(crate) fn execute(core: &mut ServeCore, cmd: &EngineCmd) -> Result<String, ServeError> {
     match cmd {
         EngineCmd::Arrive(req) => core.arrive(req).map(|r| to_json(&r)),
         EngineCmd::Depart(req) => core.depart(req).map(|r| to_json(&r)),
@@ -352,222 +220,13 @@ pub(crate) fn execute(core: &mut ServeCore, cmd: &EngineCmd) -> EngineReply {
     }
 }
 
-/// One worker: accept a connection, serve it to completion, repeat.
-/// `worker` is the thread's index, used only as a stripe hint for the
-/// sharded byte counters.
-fn worker_loop(
-    listener: TcpListener,
-    stop: Arc<AtomicBool>,
-    cmd_tx: Sender<EngineMsg>,
-    metrics: Option<Arc<ServeMetrics>>,
-    worker: usize,
-) {
-    // Each worker reuses one reply channel: it has at most one command in
-    // flight at a time.
-    let (reply_tx, reply_rx) = mpsc::channel::<EngineReply>();
-    while !stop.load(Ordering::Acquire) {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => continue,
-        };
-        if stop.load(Ordering::Acquire) {
-            break;
-        }
-        let _ = serve_connection(
-            stream,
-            &stop,
-            &cmd_tx,
-            &reply_tx,
-            &reply_rx,
-            metrics.as_deref(),
-            worker,
-        );
-    }
-}
-
-/// Largest pipelined burst answered with one engine round trip and one
-/// socket write.
-pub(crate) const MAX_BATCH: usize = 64;
-
-/// What one request of a batch is waiting on.
-enum Pending {
-    /// A command is in flight on the engine channel.
-    Engine,
-    /// Routing already produced the answer (an error) locally.
-    Direct(ServeError),
-    /// Answered on the worker with a non-JSON body (metrics, flight dump).
-    Local {
-        content_type: &'static str,
-        body: String,
-    },
-}
-
-fn serve_connection(
-    mut stream: TcpStream,
-    stop: &AtomicBool,
-    cmd_tx: &Sender<EngineMsg>,
-    reply_tx: &Sender<EngineReply>,
-    reply_rx: &Receiver<EngineReply>,
-    metrics: Option<&ServeMetrics>,
-    worker: usize,
-) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    // Short timeout so an idle keep-alive connection re-checks the stop
-    // flag a few times per second; MessageReader buffers partial data
-    // across timeouts, so this never corrupts a slow request.
-    stream.set_read_timeout(Some(Duration::from_millis(200)))?;
-    let mut reader = MessageReader::new();
-    let mut out = Vec::with_capacity(1024);
-    let mut batch = Vec::with_capacity(8);
-
-    loop {
-        // Block for the first message of a burst, then drain whatever else
-        // is already buffered (pipelined clients): the whole batch costs
-        // one engine hand-off and one write.
-        batch.clear();
-        match reader.next_message(&mut stream, &mut || !stop.load(Ordering::Acquire)) {
-            Ok(Some(message)) => batch.push(message),
-            Ok(None) => return Ok(()), // clean close (or shutdown while idle)
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                let status = if http::is_too_large(&e) { 413 } else { 400 };
-                let body = format!("{{\"error\": {:?}}}", e.to_string());
-                let _ = http::write_response(&mut stream, &mut out, status, body.as_bytes(), false);
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        }
-        while batch.len() < MAX_BATCH && !batch.last().is_some_and(|m: &http::Message| m.close) {
-            match reader.buffered_message() {
-                Ok(Some(message)) => batch.push(message),
-                Ok(None) | Err(_) => break, // a buffered parse error surfaces next loop
-            }
-        }
-        let close_after = batch.last().is_some_and(|m| m.close);
-
-        // Route every request, pushing engine commands in order; replies
-        // come back over this worker's channel in the same order.  Each
-        // slot remembers its endpoint class so the response loop can
-        // attribute the final status.
-        let mut pending = Vec::with_capacity(batch.len());
-        for message in &batch {
-            let parse_start = metrics.map(|_| Instant::now());
-            let mut parts = message.start_line.split_ascii_whitespace();
-            let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
-                pending.push((
-                    Pending::Direct(ServeError::bad_request("bad request line")),
-                    endpoint_index(""),
-                ));
-                continue;
-            };
-            let endpoint = endpoint_index(path);
-            if let Some(m) = metrics {
-                m.request_bytes.add(
-                    worker,
-                    (message.start_line.len() + message.body.len()) as u64,
-                );
-            }
-            let slot = match route(method, path, &message.body) {
-                Ok(Routed::Engine(cmd)) => {
-                    if cmd_tx
-                        .send(EngineMsg {
-                            cmd,
-                            reply: reply_tx.clone(),
-                            enqueued: Instant::now(),
-                        })
-                        .is_err()
-                    {
-                        Pending::Direct(ServeError::internal("engine thread is gone"))
-                    } else {
-                        Pending::Engine
-                    }
-                }
-                // The telemetry endpoints are answered on the worker: they
-                // only read atomics, so they never queue behind the engine
-                // (and keep working even if it is wedged).
-                Ok(Routed::Metrics) => match metrics {
-                    Some(m) => Pending::Local {
-                        content_type: "text/plain; version=0.0.4",
-                        body: m.render_prometheus(),
-                    },
-                    None => Pending::Direct(ServeError::not_found(path)),
-                },
-                Ok(Routed::Flight) => match metrics {
-                    Some(m) => Pending::Local {
-                        content_type: "application/json",
-                        body: m.flight_json(),
-                    },
-                    None => Pending::Direct(ServeError::not_found(path)),
-                },
-                Err(e) => Pending::Direct(e),
-            };
-            if let (Some(m), Some(start)) = (metrics, parse_start) {
-                m.stage_parse_ns.record(elapsed_ns(start));
-            }
-            pending.push((slot, endpoint));
-        }
-
-        out.clear();
-        for ((slot, endpoint), message) in pending.into_iter().zip(&batch) {
-            // Each response carries its own message's connection intent:
-            // only the (final) close-requesting message is answered with
-            // `Connection: close`.
-            let keep_alive = !message.close;
-            let reply = match slot {
-                Pending::Engine => match reply_rx.recv() {
-                    Ok(reply) => reply,
-                    Err(_) => Err(ServeError::internal("engine thread is gone")),
-                },
-                Pending::Direct(e) => Err(e),
-                Pending::Local { content_type, body } => {
-                    if let Some(m) = metrics {
-                        m.record_request(endpoint, 200);
-                    }
-                    http::append_response_typed(
-                        &mut out,
-                        200,
-                        content_type,
-                        body.as_bytes(),
-                        keep_alive,
-                    );
-                    continue;
-                }
-            };
-            let status = match &reply {
-                Ok(_) => 200,
-                Err(e) => e.status,
-            };
-            if let Some(m) = metrics {
-                m.record_request(endpoint, status);
-            }
-            match reply {
-                Ok(body) => http::append_response(&mut out, 200, body.as_bytes(), keep_alive),
-                Err(e) => {
-                    let body = to_json(&ErrorBody {
-                        error: e.message.clone(),
-                    });
-                    http::append_response(&mut out, e.status, body.as_bytes(), keep_alive);
-                }
-            }
-        }
-        let write_start = metrics.map(|_| Instant::now());
-        stream.write_all(&out)?;
-        if let (Some(m), Some(start)) = (metrics, write_start) {
-            m.stage_write_ns.record(elapsed_ns(start));
-            m.response_bytes.add(worker, out.len() as u64);
-        }
-        if close_after {
-            return Ok(());
-        }
-    }
-}
-
 #[derive(serde::Serialize)]
 pub(crate) struct ErrorBody {
     pub(crate) error: String,
 }
 
-/// Decode a request into an engine command or a worker-local answer (no
-/// state access here — pure routing, runs on the worker).
+/// Decode a request into an engine command or a telemetry answer (no
+/// state access here — pure routing).
 pub(crate) fn route(method: &str, path: &str, body: &[u8]) -> Result<Routed, ServeError> {
     let parse_body = |what: &str| -> Result<serde_json::Value, ServeError> {
         let text = std::str::from_utf8(body)
@@ -687,7 +346,7 @@ mod tests {
             route("POST", "/v1/bins/drain", b"").unwrap(),
             Routed::Engine(EngineCmd::DrainBin(DrainBinRequest { bin: None }))
         ));
-        // Telemetry endpoints are answered on the worker, not the engine.
+        // Telemetry endpoints are answered from atomics, not the engine.
         assert!(matches!(
             route("GET", "/v1/metrics", b"").unwrap(),
             Routed::Metrics

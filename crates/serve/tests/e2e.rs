@@ -7,8 +7,7 @@ use rls_live::{LiveEngine, LiveParams, Recorder, Snapshot, SteadyState};
 use rls_rng::rng_from_seed;
 use rls_serve::{
     core_from_log, replay_over_http, serve, ArriveReply, ArriveRequest, DepartReply, DepartRequest,
-    Frontend, HealthReply, HttpClient, RingReply, ServeCore, ServePolicy, ServerConfig,
-    StatsReply,
+    HealthReply, HttpClient, RingReply, ServeCore, ServePolicy, ServerConfig, StatsReply,
 };
 use rls_workloads::ArrivalProcess;
 
@@ -20,28 +19,16 @@ fn make_core(seed: u64, rings_per_arrival: f64) -> ServeCore {
     ServeCore::new(engine, seed, 0.0, ServePolicy { rings_per_arrival })
 }
 
-fn boot(core: ServeCore, workers: usize) -> rls_serve::HttpServer {
-    boot_frontend(core, workers, Frontend::WorkerPool)
-}
-
-fn boot_frontend(core: ServeCore, workers: usize, frontend: Frontend) -> rls_serve::HttpServer {
-    serve(
-        core,
-        &ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers,
-            frontend,
-        },
-    )
-    .expect("ephemeral-port server boots")
+fn boot(core: ServeCore) -> rls_serve::HttpServer {
+    serve(core, &ServerConfig::default()).expect("ephemeral-port server boots")
 }
 
 #[test]
 fn drives_the_full_api_over_real_sockets() {
-    let server = boot(make_core(42, 0.0), 2);
+    let server = boot(make_core(42, 0.0));
     let mut client = HttpClient::connect(server.addr()).unwrap();
 
-    // healthz answers from the engine thread.
+    // healthz answers from the engine.
     let health: HealthReply =
         serde_json::from_str(&client.request_ok("GET", "/healthz", b"").unwrap()).unwrap();
     assert_eq!(health.status, "ok");
@@ -109,7 +96,7 @@ fn http_stats_match_an_offline_core_with_the_same_seed() {
     // receive the identical command sequence; every reply and the final
     // stats digest must agree exactly (same floats, same counters).
     let seed = 77;
-    let server = boot(make_core(seed, 1.5), 3);
+    let server = boot(make_core(seed, 1.5));
     let mut offline = make_core(seed, 1.5);
     let mut client = HttpClient::connect(server.addr()).unwrap();
 
@@ -151,7 +138,7 @@ fn http_stats_match_an_offline_core_with_the_same_seed() {
 
 #[test]
 fn snapshot_restore_round_trips_over_the_wire() {
-    let server = boot(make_core(5, 1.0), 2);
+    let server = boot(make_core(5, 1.0));
     let mut client = HttpClient::connect(server.addr()).unwrap();
     for _ in 0..40 {
         client.request_ok("POST", "/v1/arrive", b"").unwrap();
@@ -161,7 +148,7 @@ fn snapshot_restore_round_trips_over_the_wire() {
 
     // Restore onto a second server with a different seed and history; it
     // must continue exactly like the first one.
-    let other = boot(make_core(1234, 1.0), 2);
+    let other = boot(make_core(1234, 1.0));
     let mut other_client = HttpClient::connect(other.addr()).unwrap();
     for _ in 0..7 {
         other_client.request_ok("POST", "/v1/arrive", b"").unwrap();
@@ -220,7 +207,7 @@ fn trace_replay_through_http_matches_offline_replay() {
     };
     assert!(log.events.len() > 100, "trace too small to be interesting");
 
-    let server = boot(core_from_log(&log, 0).unwrap(), 2);
+    let server = boot(core_from_log(&log, 0).unwrap());
     let outcome = replay_over_http(server.addr(), &log).unwrap();
     assert!(outcome.loads_match, "served loads diverge: {outcome:?}");
     assert!(outcome.moved_match, "ring decisions diverge");
@@ -231,7 +218,7 @@ fn trace_replay_through_http_matches_offline_replay() {
 
 #[test]
 fn concurrent_clients_are_all_served() {
-    let server = boot(make_core(11, 1.0), 4);
+    let server = boot(make_core(11, 1.0));
     let addr = server.addr();
     let per_client = 50u64;
     std::thread::scope(|scope| {
@@ -257,7 +244,7 @@ fn concurrent_clients_are_all_served() {
 fn pipelined_burst_labels_connection_per_message() {
     use std::io::{Read, Write};
 
-    let server = boot(make_core(21, 0.0), 2);
+    let server = boot(make_core(21, 0.0));
     let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
     stream.set_nodelay(true).unwrap();
     stream
@@ -297,7 +284,7 @@ fn pipelined_burst_labels_connection_per_message() {
 fn oversized_payloads_get_a_413() {
     use std::io::{Read, Write};
 
-    let server = boot(make_core(22, 0.0), 2);
+    let server = boot(make_core(22, 0.0));
     let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
     stream
         .set_read_timeout(Some(std::time::Duration::from_secs(5)))
@@ -341,7 +328,7 @@ fn greedy_on_torus_serves_end_to_end_bit_equal_to_offline() {
     // every reply and the final stats digest — including the echoed boot
     // identity.
     let seed = 0xE22;
-    let server = boot(policy_core(seed, 2.0), 3);
+    let server = boot(policy_core(seed, 2.0));
     let mut offline = policy_core(seed, 2.0);
     let mut client = HttpClient::connect(server.addr()).unwrap();
 
@@ -404,7 +391,7 @@ fn snapshot_v5_round_trips_across_policy_servers() {
     // second server (booted with a different seed and policy history) and
     // both continue bit-identically: the snapshot carries policy,
     // topology and graph seed.
-    let server = boot(policy_core(5, 1.0), 2);
+    let server = boot(policy_core(5, 1.0));
     let mut client = HttpClient::connect(server.addr()).unwrap();
     for _ in 0..60 {
         client.request_ok("POST", "/v1/arrive", b"").unwrap();
@@ -414,7 +401,7 @@ fn snapshot_v5_round_trips_across_policy_servers() {
     assert_eq!(snapshot.version, 5);
     assert_eq!(snapshot.topology.to_string(), "torus");
 
-    let other = boot(policy_core(999, 1.0), 2);
+    let other = boot(policy_core(999, 1.0));
     let mut other_client = HttpClient::connect(other.addr()).unwrap();
     other_client
         .request_ok("POST", "/v1/restore", snapshot_json.as_bytes())
@@ -481,7 +468,7 @@ fn weighted_arrivals_over_http_are_bit_equal_to_an_offline_core() {
     // move and the final stats digest (including the certified optimality
     // gap) must agree to the bit.
     let seed = 0xE23;
-    let server = boot(weighted_core(seed, 1.5), 3);
+    let server = boot(weighted_core(seed, 1.5));
     let mut offline = weighted_core(seed, 1.5);
     let mut client = HttpClient::connect(server.addr()).unwrap();
 
@@ -548,7 +535,7 @@ fn snapshot_v5_preserves_weights_and_speeds_across_servers() {
     // restoring it onto a second server reproduces the weighted
     // trajectory bit-for-bit and the restored server reports the same
     // heterogeneity digest.
-    let server = boot(weighted_core(5, 1.0), 2);
+    let server = boot(weighted_core(5, 1.0));
     let mut client = HttpClient::connect(server.addr()).unwrap();
     for _ in 0..60 {
         client.request_ok("POST", "/v1/arrive", b"").unwrap();
@@ -565,7 +552,7 @@ fn snapshot_v5_preserves_weights_and_speeds_across_servers() {
 
     // The restore target was booted with a different seed *and* a
     // different heterogeneity shape — the snapshot overrides all of it.
-    let other = boot(weighted_core(999, 1.0), 2);
+    let other = boot(weighted_core(999, 1.0));
     let mut other_client = HttpClient::connect(other.addr()).unwrap();
     for _ in 0..9 {
         other_client.request_ok("POST", "/v1/arrive", b"").unwrap();
@@ -616,7 +603,7 @@ fn snapshot_v5_preserves_weights_and_speeds_across_servers() {
 fn elastic_admin_endpoints_scale_the_live_set() {
     use rls_serve::{AddBinReply, DrainBinReply};
 
-    let server = boot(make_core(314, 1.0), 2);
+    let server = boot(make_core(314, 1.0));
     let mut client = HttpClient::connect(server.addr()).unwrap();
 
     // Boot state: never scaled, epoch 0, all 16 bins live.
@@ -707,7 +694,7 @@ fn elastic_admin_endpoints_scale_the_live_set() {
 fn elastic_drain_round_trips_bit_exactly_across_servers() {
     // Scale events mid-run, snapshot, restore into a second server, then
     // drive both with the same commands: bit-identical replies throughout.
-    let server_a = boot(make_core(2718, 1.0), 2);
+    let server_a = boot(make_core(2718, 1.0));
     let mut a = HttpClient::connect(server_a.addr()).unwrap();
     for _ in 0..40 {
         a.request_ok("POST", "/v1/arrive", b"").unwrap();
@@ -720,7 +707,7 @@ fn elastic_drain_round_trips_bit_exactly_across_servers() {
     a.request_ok("POST", "/v1/bins/drain", b"").unwrap();
     let snapshot_json = a.request_ok("GET", "/v1/snapshot", b"").unwrap();
 
-    let server_b = boot(make_core(999, 1.0), 2);
+    let server_b = boot(make_core(999, 1.0));
     let mut b = HttpClient::connect(server_b.addr()).unwrap();
     let (status, _) = b
         .request("POST", "/v1/restore", snapshot_json.as_bytes())
@@ -794,22 +781,19 @@ fn weighted_percentiles_range_over_the_live_set_after_drains() {
     );
 }
 
-/// Both frontends and an offline core, all seeded alike, fed the same
-/// pipelined command trace: every reply must agree byte for byte, and the
-/// final stats digest and load vector to the bit.  This is the acceptance
-/// test for the event-loop frontend: batching happens at command
+/// The server and an offline core, seeded alike, fed the same pipelined
+/// command trace: every reply must agree byte for byte, and the final
+/// stats digest and load vector to the bit.  Batching happens at command
 /// granularity, never inside the RNG stream, so how requests reach the
 /// engine can never show up in the trajectory.
 #[test]
-fn both_frontends_are_bit_equal_to_an_offline_core() {
+fn event_loop_is_bit_equal_to_an_offline_core() {
     let seed = 314;
-    let wp = boot_frontend(make_core(seed, 1.5), 2, Frontend::WorkerPool);
-    let el = boot_frontend(make_core(seed, 1.5), 2, Frontend::EventLoop);
+    let server = boot(make_core(seed, 1.5));
     let mut offline = make_core(seed, 1.5);
-    let mut wp_client = HttpClient::connect(wp.addr()).unwrap();
-    let mut el_client = HttpClient::connect(el.addr()).unwrap();
+    let mut client = HttpClient::connect(server.addr()).unwrap();
 
-    // 15 bursts of 6 pipelined requests: both servers coalesce each burst
+    // 15 bursts of 6 pipelined requests: the server coalesces each burst
     // into one engine batch, the offline core applies them one by one.
     let request = |i: u64| -> (&'static str, &'static str, String) {
         match i % 6 {
@@ -828,18 +812,10 @@ fn both_frontends_are_bit_equal_to_an_offline_core() {
     for burst in 0..15u64 {
         for i in burst * 6..(burst + 1) * 6 {
             let (method, path, body) = request(i);
-            wp_client.send(method, path, body.as_bytes()).unwrap();
-            el_client.send(method, path, body.as_bytes()).unwrap();
+            client.send(method, path, body.as_bytes()).unwrap();
         }
         for i in burst * 6..(burst + 1) * 6 {
-            let (wp_status, wp_body) = wp_client.recv().unwrap();
-            let (el_status, el_body) = el_client.recv().unwrap();
-            assert_eq!(wp_status, el_status, "request {i}");
-            assert_eq!(
-                String::from_utf8_lossy(&wp_body),
-                String::from_utf8_lossy(&el_body),
-                "request {i}: frontends disagree"
-            );
+            let (status, body_bytes) = client.recv().unwrap();
             // The offline core answers the same request from plain Rust;
             // rejected commands (e.g. a 409 departure from an empty bin)
             // must round-trip identically too.
@@ -851,7 +827,9 @@ fn both_frontends_are_bit_equal_to_an_offline_core() {
                     } else {
                         serde_json::from_str(&body).unwrap()
                     };
-                    offline.arrive(&req).map(|r| serde_json::to_string(&r).unwrap())
+                    offline
+                        .arrive(&req)
+                        .map(|r| serde_json::to_string(&r).unwrap())
                 }
                 ("POST", "/v1/depart") => offline
                     .depart(&DepartRequest::default())
@@ -866,45 +844,40 @@ fn both_frontends_are_bit_equal_to_an_offline_core() {
             };
             let (offline_status, offline_body) = match offline_reply {
                 Ok(body) => (200, body),
-                Err(e) => (e.status, format!(r#"{{"error":{}}}"#, serde_json::to_string(&e.message).unwrap())),
+                Err(e) => (
+                    e.status,
+                    format!(
+                        r#"{{"error":{}}}"#,
+                        serde_json::to_string(&e.message).unwrap()
+                    ),
+                ),
             };
-            assert_eq!(wp_status, offline_status, "request {i}");
+            assert_eq!(status, offline_status, "request {i}");
             assert_eq!(
-                String::from_utf8_lossy(&wp_body),
+                String::from_utf8_lossy(&body_bytes),
                 offline_body,
                 "request {i}: HTTP path diverged from offline"
             );
         }
     }
 
-    // Final digest: identical bits across all three.
-    let wp_stats: StatsReply =
-        serde_json::from_str(&wp_client.request_ok("GET", "/v1/stats", b"").unwrap()).unwrap();
-    let el_stats: StatsReply =
-        serde_json::from_str(&el_client.request_ok("GET", "/v1/stats", b"").unwrap()).unwrap();
+    // Final digest: identical bits.
+    let stats: StatsReply =
+        serde_json::from_str(&client.request_ok("GET", "/v1/stats", b"").unwrap()).unwrap();
     let expected = offline.stats();
-    assert_eq!(wp_stats, expected);
-    assert_eq!(el_stats, expected);
+    assert_eq!(stats, expected);
     for (got, want) in [
-        (wp_stats.summary.mean_gap, expected.summary.mean_gap),
-        (el_stats.summary.mean_gap, expected.summary.mean_gap),
-        (wp_stats.time, expected.time),
-        (el_stats.time, expected.time),
+        (stats.summary.mean_gap, expected.summary.mean_gap),
+        (stats.time, expected.time),
     ] {
         assert_eq!(got.to_bits(), want.to_bits(), "stats must agree to the bit");
     }
-    assert_eq!(wp_stats.identity, expected.identity);
-    assert_eq!(el_stats.identity, expected.identity);
+    assert_eq!(stats.identity, expected.identity);
 
-    // And the final load vectors inside the recovered cores.
-    let wp_core = wp.shutdown();
-    let el_core = el.shutdown();
+    // And the final load vector inside the recovered core.
+    let core = server.shutdown();
     assert_eq!(
-        wp_core.engine().config().loads(),
-        offline.engine().config().loads()
-    );
-    assert_eq!(
-        el_core.engine().config().loads(),
+        core.engine().config().loads(),
         offline.engine().config().loads()
     );
 }

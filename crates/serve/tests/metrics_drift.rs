@@ -11,7 +11,7 @@
 use rls_core::{Config, RlsRule};
 use rls_live::{LiveEngine, LiveParams};
 use rls_obs::Registry;
-use rls_serve::{serve, Frontend, HttpClient, ServeCore, ServePolicy, ServerConfig, CATALOG};
+use rls_serve::{serve, HttpClient, ServeCore, ServePolicy, ServerConfig, CATALOG};
 use rls_workloads::ArrivalProcess;
 
 fn boot_with_metrics() -> (rls_serve::HttpServer, Registry) {
@@ -29,15 +29,7 @@ fn boot_with_metrics() -> (rls_serve::HttpServer, Registry) {
     );
     let registry = Registry::new();
     core.attach_metrics(&registry);
-    let server = serve(
-        core,
-        &ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 2,
-            frontend: Frontend::WorkerPool,
-        },
-    )
-    .expect("ephemeral-port server boots");
+    let server = serve(core, &ServerConfig::default()).expect("ephemeral-port server boots");
     (server, registry)
 }
 
@@ -165,15 +157,7 @@ fn metrics_endpoints_404_without_telemetry() {
             rings_per_arrival: 0.0,
         },
     );
-    let server = serve(
-        core,
-        &ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 1,
-            frontend: Frontend::WorkerPool,
-        },
-    )
-    .unwrap();
+    let server = serve(core, &ServerConfig::default()).unwrap();
     let mut client = HttpClient::connect(server.addr()).unwrap();
     let (status, _) = client.request("GET", "/v1/metrics", b"").unwrap();
     assert_eq!(status, 404);
