@@ -10,7 +10,7 @@ use rls_core::{Config, LoadTracker, RlsRule};
 use rls_rng::rng_from_seed;
 use rls_sim::clock::ClockEngine;
 use rls_sim::parallel::{parallel_map, parallel_map_chunked};
-use rls_sim::{RlsPolicy, Simulation, StopWhen};
+use rls_sim::{Simulation, StopWhen};
 
 fn scheduler_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_scheduler");
@@ -24,7 +24,7 @@ fn scheduler_ablation(c: &mut Criterion) {
         b.iter(|| {
             seed += 1;
             let cfg = Config::all_in_one_bin(n, m).unwrap();
-            let mut sim = Simulation::new(cfg, RlsPolicy::new(RlsRule::paper())).unwrap();
+            let mut sim = Simulation::new(cfg, RlsRule::paper()).unwrap();
             sim.run(&mut rng_from_seed(seed), StopWhen::perfectly_balanced())
         });
     });
@@ -112,7 +112,7 @@ fn parallel_granularity_ablation(c: &mut Criterion) {
     let trials = 32usize;
     let work = |i: usize| {
         let cfg = Config::all_in_one_bin(16, 256).unwrap();
-        let mut sim = Simulation::new(cfg, RlsPolicy::new(RlsRule::paper())).unwrap();
+        let mut sim = Simulation::new(cfg, RlsRule::paper()).unwrap();
         sim.run(&mut rng_from_seed(i as u64), StopWhen::perfectly_balanced())
             .activations
     };

@@ -23,7 +23,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rls_core::{Config, LoadTracker, Move, RlsRule};
 use rls_rng::dist::{Distribution, Exponential};
 use rls_rng::{rng_from_seed, Rng64, RngExt};
-use rls_sim::{RlsPolicy, Simulation};
+use rls_sim::Simulation;
 
 /// Events per bench iteration.
 const EVENTS: u64 = 200_000;
@@ -102,8 +102,8 @@ fn billion_ball_scale(c: &mut Criterion) {
     // per-event cost; iterations continue the same trajectory, which only
     // drives the instance closer to balance.
     group.bench_function(format!("billion_fenwick_n{N}_m{M_BILLION}"), |b| {
-        let mut sim = Simulation::new(worst_case(M_BILLION), RlsPolicy::new(RlsRule::paper()))
-            .expect("no ball cap");
+        let mut sim =
+            Simulation::new(worst_case(M_BILLION), RlsRule::paper()).expect("no ball cap");
         let mut rng = rng_from_seed(20);
         b.iter(|| {
             for _ in 0..EVENTS {
@@ -116,8 +116,8 @@ fn billion_ball_scale(c: &mut Criterion) {
     // Throughput parity at m = 10⁷: Fenwick must be no slower per event
     // than the historical Vec sampler.
     group.bench_function(format!("fenwick_n{N}_m{M_TEN_MILLION}"), |b| {
-        let mut sim = Simulation::new(worst_case(M_TEN_MILLION), RlsPolicy::new(RlsRule::paper()))
-            .expect("valid instance");
+        let mut sim =
+            Simulation::new(worst_case(M_TEN_MILLION), RlsRule::paper()).expect("valid instance");
         let mut rng = rng_from_seed(21);
         b.iter(|| {
             for _ in 0..EVENTS {

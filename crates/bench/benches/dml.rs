@@ -5,7 +5,7 @@ use rls_cli::experiments::{run_experiment, ExperimentId, Scale};
 use rls_core::{Config, RlsRule};
 use rls_rng::rng_from_seed;
 use rls_sim::adversary::RandomDestructiveAdversary;
-use rls_sim::{NoAdversary, RlsPolicy, Simulation, StopWhen};
+use rls_sim::{NoAdversary, Simulation, StopWhen};
 
 fn figure1_classification(c: &mut Criterion) {
     // E4 is deterministic and tiny; bench the full table generation.
@@ -29,7 +29,7 @@ fn dml_adversarial_runs(c: &mut Criterion) {
         b.iter(|| {
             seed += 1;
             let cfg = Config::all_in_one_bin(n, m).unwrap();
-            let mut sim = Simulation::new(cfg, RlsPolicy::new(RlsRule::paper())).unwrap();
+            let mut sim = Simulation::new(cfg, RlsRule::paper()).unwrap();
             sim.run_with(
                 &mut rng_from_seed(seed),
                 StopWhen::never().with_max_time(horizon),
@@ -43,7 +43,7 @@ fn dml_adversarial_runs(c: &mut Criterion) {
         b.iter(|| {
             seed += 1;
             let cfg = Config::all_in_one_bin(n, m).unwrap();
-            let mut sim = Simulation::new(cfg, RlsPolicy::new(RlsRule::paper())).unwrap();
+            let mut sim = Simulation::new(cfg, RlsRule::paper()).unwrap();
             let mut adversary = RandomDestructiveAdversary::new(1, 0.5, None);
             sim.run_with(
                 &mut rng_from_seed(seed),

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rls_core::{Config, RlsRule};
 use rls_rng::rng_from_seed;
-use rls_sim::{RlsPolicy, Simulation, StopWhen};
+use rls_sim::{Simulation, StopWhen};
 use rls_workloads::Workload;
 
 fn phase1(c: &mut Criterion) {
@@ -21,8 +21,7 @@ fn phase1(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                let mut sim =
-                    Simulation::new(initial.clone(), RlsPolicy::new(RlsRule::paper())).unwrap();
+                let mut sim = Simulation::new(initial.clone(), RlsRule::paper()).unwrap();
                 sim.run(&mut rng_from_seed(seed), StopWhen::x_balanced(target))
             });
         });
@@ -48,8 +47,7 @@ fn phase2(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                let mut sim =
-                    Simulation::new(initial.clone(), RlsPolicy::new(RlsRule::paper())).unwrap();
+                let mut sim = Simulation::new(initial.clone(), RlsRule::paper()).unwrap();
                 sim.run(&mut rng_from_seed(seed), StopWhen::x_balanced(1.0))
             });
         });
@@ -76,8 +74,7 @@ fn phase3(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                let mut sim =
-                    Simulation::new(initial.clone(), RlsPolicy::new(RlsRule::paper())).unwrap();
+                let mut sim = Simulation::new(initial.clone(), RlsRule::paper()).unwrap();
                 sim.run(&mut rng_from_seed(seed), StopWhen::perfectly_balanced())
             });
         });

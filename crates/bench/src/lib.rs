@@ -11,11 +11,11 @@
 
 use rls_core::{Config, RlsRule};
 use rls_rng::DefaultRng;
-use rls_sim::{RlsPolicy, RunOutcome, Simulation, StopWhen};
+use rls_sim::{RunOutcome, Simulation, StopWhen};
 
 /// Run one RLS trajectory from `initial` to perfect balance.
 pub fn balance_once(initial: &Config, rng: &mut DefaultRng) -> RunOutcome {
-    let mut sim = Simulation::new(initial.clone(), RlsPolicy::new(RlsRule::paper()))
+    let mut sim = Simulation::new(initial.clone(), RlsRule::paper())
         .expect("bench instances always contain balls");
     sim.run(rng, StopWhen::perfectly_balanced())
 }

@@ -1,15 +1,15 @@
 //! Executing a single grid cell: `trials` independent runs, each with its
 //! own derived random stream, aggregated into a [`CellResult`].
 
-use rls_core::{RebalancePolicy, RlsRule, RlsVariant};
-use rls_graph::GraphRls;
+use rls_core::{RebalancePolicy, RlsVariant};
+use rls_graph::DestSampler;
 use rls_live::{LiveEngine, LiveParams, Reconvergence, SteadyState, DEFAULT_RECONV_THRESHOLD};
 use rls_protocols::crs_local_search::{CrsLocalSearch, CrsPlacement};
 use rls_protocols::{GreedyD, SelfishDistributed, SelfishGlobal, ThresholdProtocol};
 use rls_rng::{Rng64, SplitMix64, StreamFactory, StreamId};
 use rls_sim::observer::PhaseTracker;
 use rls_sim::stats::Summary;
-use rls_sim::{NoAdversary, RlsPolicy, Simulation, StopWhen};
+use rls_sim::{NoAdversary, Simulation, StopWhen};
 use serde::{Deserialize, Serialize};
 
 use crate::hash::sha256_u64;
@@ -110,13 +110,7 @@ pub fn run_cell(cell: &CellSpec, seed: u64) -> Result<CellResult, CampaignError>
     // Dynamic cells run the live engine over the cell's whole
     // (protocol, topology) pair; the static dispatch below is offline-only.
     match cell.protocol {
-        ProtocolSpec::RlsGeq | ProtocolSpec::RlsStrict if cell.topology.is_complete() => {
-            run_simulation_cell(cell, seed)
-        }
-        ProtocolSpec::RlsGeq => run_graph_cell(cell, seed),
-        ProtocolSpec::RlsStrict => Err(CampaignError::unsupported(
-            "rls-strict is only available on the complete topology",
-        )),
+        ProtocolSpec::RlsGeq | ProtocolSpec::RlsStrict => run_simulation_cell(cell, seed),
         _ if !cell.topology.is_complete() => Err(CampaignError::unsupported(format!(
             "protocol `{}` is only available on the complete topology",
             cell.protocol
@@ -125,13 +119,13 @@ pub fn run_cell(cell: &CellSpec, seed: u64) -> Result<CellResult, CampaignError>
     }
 }
 
-/// Map a cell's protocol axis onto the live engine's per-ring rebalance
+/// Map a cell's protocol axis onto the engines' per-ring rebalance
 /// policy.  The budget parameters some protocols carry (`rounds`, `steps`)
 /// bound *offline* runs; a dynamic cell is bounded by its measurement
 /// window instead, so they are inert here (they still participate in the
 /// cell's cache identity).  The synchronous selfish protocols have no
 /// per-ring form and stay offline-only.
-fn dynamic_policy(protocol: ProtocolSpec) -> Result<RebalancePolicy, CampaignError> {
+fn ring_policy(protocol: ProtocolSpec) -> Result<RebalancePolicy, CampaignError> {
     match protocol {
         ProtocolSpec::RlsGeq => Ok(RebalancePolicy::Rls {
             variant: RlsVariant::Geq,
@@ -168,7 +162,7 @@ fn run_dynamic_cell(cell: &CellSpec, seed: u64) -> Result<CellResult, CampaignEr
         .as_ref()
         .expect("caller dispatches on dynamic cells");
     dynamic.validate()?;
-    let policy = dynamic_policy(cell.protocol)?;
+    let policy = ring_policy(cell.protocol)?;
     if !cell.hits.is_empty() {
         return Err(CampaignError::unsupported(
             "hit tracking does not apply to dynamic cells (no stopping time)",
@@ -187,11 +181,7 @@ fn run_dynamic_cell(cell: &CellSpec, seed: u64) -> Result<CellResult, CampaignEr
     let horizon = dynamic.warmup + dynamic.window;
 
     let factory = StreamFactory::new(seed);
-    // One adjacency per cell (the same instance for every trial, like the
-    // offline graph cells): the engine rebuilds it from this seed.
-    let graph_seed = factory
-        .rng(StreamId::trial(0).with_component(COMPONENT_GRAPH))
-        .next_u64();
+    let graph_seed = graph_seed(&factory);
     let mut acc = Accumulator::new(cell, 0);
     acc.unit = "gap".to_string();
     let mut p99 = Vec::with_capacity(cell.trials);
@@ -291,14 +281,18 @@ fn run_dynamic_cell(cell: &CellSpec, seed: u64) -> Result<CellResult, CampaignEr
     Ok(result)
 }
 
-/// The paper's continuous-time process on the complete topology, via the
+/// One adjacency per cell (the same instance for every trial): the
+/// engines build it from this seed.
+fn graph_seed(factory: &StreamFactory) -> u64 {
+    factory
+        .rng(StreamId::trial(0).with_component(COMPONENT_GRAPH))
+        .next_u64()
+}
+
+/// The paper's continuous-time process on the cell's topology, via the
 /// O(1)-per-event superposition engine, with first-hit tracking.
 fn run_simulation_cell(cell: &CellSpec, seed: u64) -> Result<CellResult, CampaignError> {
-    let variant = match cell.protocol {
-        ProtocolSpec::RlsGeq => RlsVariant::Geq,
-        ProtocolSpec::RlsStrict => RlsVariant::Strict,
-        _ => unreachable!("caller dispatches on protocol"),
-    };
+    let policy = ring_policy(cell.protocol)?;
     let thresholds: Vec<f64> = cell.hits.iter().map(|h| h.resolve(cell.n)).collect();
     let mut stop = if cell.stop.target_discrepancy <= 0.0 {
         StopWhen::perfectly_balanced()
@@ -313,6 +307,8 @@ fn run_simulation_cell(cell: &CellSpec, seed: u64) -> Result<CellResult, Campaig
     }
 
     let factory = StreamFactory::new(seed);
+    let sampler = DestSampler::build(cell.topology.0, cell.n, graph_seed(&factory))
+        .map_err(|e| CampaignError::spec(format!("cell topology: {e}")))?;
     let mut acc = Accumulator::new(cell, thresholds.len());
     for trial in 0..cell.trials as u64 {
         let mut wl_rng = factory.rng(StreamId::trial(trial).with_component(COMPONENT_WORKLOAD));
@@ -324,7 +320,7 @@ fn run_simulation_cell(cell: &CellSpec, seed: u64) -> Result<CellResult, Campaig
         let initial_disc = initial.discrepancy();
 
         let mut tracker = PhaseTracker::new(thresholds.clone());
-        let mut sim = Simulation::new(initial, RlsPolicy::new(RlsRule::new(variant)))
+        let mut sim = Simulation::with_sampler(initial, policy, sampler.clone())
             .map_err(|e| CampaignError::spec(format!("cell instance: {e}")))?;
         let mut run_rng = factory.rng(StreamId::trial(trial).with_component(COMPONENT_DYNAMICS));
         let outcome = sim.run_with(&mut run_rng, stop, &mut NoAdversary, &mut tracker);
@@ -346,53 +342,6 @@ fn run_simulation_cell(cell: &CellSpec, seed: u64) -> Result<CellResult, Campaig
             outcome.migrations as f64,
             outcome.final_discrepancy,
             outcome.reached_goal,
-        );
-    }
-    Ok(acc.finish())
-}
-
-/// Graph-restricted RLS on a non-complete topology.
-fn run_graph_cell(cell: &CellSpec, seed: u64) -> Result<CellResult, CampaignError> {
-    if !cell.hits.is_empty() {
-        return Err(CampaignError::unsupported(
-            "hit tracking is only available on the complete topology",
-        ));
-    }
-    if cell.stop.max_time.is_some() {
-        // The graph runner only counts activations; silently ignoring a
-        // requested cap would cache results under an identity that claims
-        // the cap was applied.
-        return Err(CampaignError::unsupported(
-            "stop.max_time is only available on the complete topology (use max_activations)",
-        ));
-    }
-    let factory = StreamFactory::new(seed);
-    // One graph per cell (same instance for every trial, like E16).
-    let mut graph_rng = factory.rng(StreamId::trial(0).with_component(COMPONENT_GRAPH));
-    let graph = cell
-        .topology
-        .0
-        .build(cell.n, &mut graph_rng)
-        .map_err(|e| CampaignError::spec(format!("cell topology: {e}")))?;
-    let budget = cell.stop.max_activations.unwrap_or(u64::MAX);
-    let process = GraphRls::new(graph, budget);
-
-    let mut acc = Accumulator::new(cell, 0);
-    for trial in 0..cell.trials as u64 {
-        let mut wl_rng = factory.rng(StreamId::trial(trial).with_component(COMPONENT_WORKLOAD));
-        let initial = cell
-            .workload
-            .0
-            .generate(cell.n, cell.m, &mut wl_rng)
-            .map_err(|e| CampaignError::spec(format!("cell workload: {e}")))?;
-        let mut run_rng = factory.rng(StreamId::trial(trial).with_component(COMPONENT_DYNAMICS));
-        let out = process.run(&initial, cell.stop.target_discrepancy, &mut run_rng);
-        acc.push(
-            out.time,
-            out.activations as f64,
-            out.migrations as f64,
-            out.final_discrepancy,
-            out.reached_goal,
         );
     }
     Ok(acc.finish())
@@ -457,7 +406,7 @@ fn run_protocol_cell(cell: &CellSpec, seed: u64) -> Result<CellResult, CampaignE
             .run(cell.n, cell.m, target, &mut wl_rng),
             ProtocolSpec::GreedyD { d } => GreedyD::new(d).run(cell.n, cell.m, target, &mut wl_rng),
             ProtocolSpec::RlsGeq | ProtocolSpec::RlsStrict => {
-                unreachable!("RLS cells dispatch to the simulation/graph runners")
+                unreachable!("RLS cells dispatch to the simulation runner")
             }
         };
         acc.push(
@@ -602,30 +551,44 @@ mod tests {
         cell.stop.max_time = Some(5.0);
         assert!(run_cell(&cell, 1).is_err());
 
-        // Graph cells honour max_activations but reject max_time.
+        // Other protocols stay complete-graph-only.
         let mut graph = base_cell();
+        graph.protocol = ProtocolSpec::SelfishGlobal { rounds: 4000 };
         graph.topology = TopologySpec(Topology::Cycle);
-        graph.stop.max_time = Some(5.0);
         let err = run_cell(&graph, 1).unwrap_err().to_string();
-        assert!(err.contains("max_time"), "{err}");
+        assert!(err.contains("complete topology"), "{err}");
     }
 
     #[test]
-    fn graph_cell_runs_and_strict_on_graph_is_rejected() {
+    fn graph_cells_run_strict_hits_and_time_budgets() {
         let mut cell = base_cell();
         cell.topology = TopologySpec(Topology::Cycle);
         cell.stop.max_activations = Some(200_000);
         let r = run_cell(&cell, 5).unwrap();
         assert_eq!(r.goal_rate, 1.0);
         assert_eq!(r.unit, "time");
+        assert_eq!(r, run_cell(&cell, 5).unwrap(), "deterministic per seed");
 
+        // Strict RLS runs too; on a cycle it can stall in a staircase
+        // whose neighbours differ by one, so only the budget is certain.
         let mut strict = cell.clone();
         strict.protocol = ProtocolSpec::RlsStrict;
-        assert!(run_cell(&strict, 5).is_err());
+        let r = run_cell(&strict, 5).unwrap();
+        assert!(r.activations.max <= 200_000.0);
+        assert!(r.migrations.min > 0.0);
 
         let mut with_hits = cell.clone();
         with_hits.hits = vec![HitSpec::Absolute(1.0)];
-        assert!(run_cell(&with_hits, 5).is_err());
+        let r = run_cell(&with_hits, 5).unwrap();
+        assert_eq!(r.hit_means.len(), 1);
+        assert!(r.hit_means[0] > 0.0 && r.hit_means[0] <= r.cost.mean);
+
+        let mut timed = cell.clone();
+        timed.stop.max_activations = None;
+        timed.stop.max_time = Some(0.01);
+        let r = run_cell(&timed, 5).unwrap();
+        assert_eq!(r.goal_rate, 0.0);
+        assert!(r.cost.min >= 0.01);
     }
 
     #[test]

@@ -40,8 +40,11 @@ use crate::CampaignError;
 /// cell's canonical identity; 6 = the grid gained the elastic-membership
 /// `churn` axis (`CellSpec` carries `churn`, `DynamicAggregate` the
 /// re-convergence aggregates), which extends every cell's canonical
-/// identity.
-pub const ENGINE_VERSION: u32 = 6;
+/// identity; 7 = offline graph cells run the shared `Simulation` on a
+/// `DestSampler` built from the cell's graph seed (previously a separate
+/// per-ball graph engine), which changes their random trajectories —
+/// complete-graph results are unchanged.
+pub const ENGINE_VERSION: u32 = 7;
 
 /// The content address of a cell: hex SHA-256 of its identity.
 pub fn cell_key(campaign_seed: u64, cell: &CellSpec) -> String {

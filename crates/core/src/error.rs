@@ -2,12 +2,14 @@
 
 use crate::Move;
 
-/// Errors arising when constructing or resizing a [`Config`](crate::Config).
+/// Errors arising when constructing or changing a [`Config`](crate::Config)
+/// or the [`LoadState`](crate::LoadState) books around it.  A failed change
+/// leaves everything untouched.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
     /// A configuration needs at least one bin.
     NoBins,
-    /// Requested `m` balls cannot be represented (overflow when summing).
+    /// A total (balls, weight or rate mass) cannot be represented.
     TotalOverflow,
     /// A bin index is out of range (arrival/departure operations).
     BinOutOfRange {
@@ -16,24 +18,45 @@ pub enum ConfigError {
         /// Number of bins in the configuration.
         n: usize,
     },
-    /// The bin holds no ball to remove.
+    /// The bin holds no ball to move or remove.
     EmptyBin {
         /// The offending bin index.
         bin: usize,
     },
+    /// A move names the same bin as source and destination.
+    SelfLoop {
+        /// The bin on both ends.
+        bin: usize,
+    },
+    /// The bin has retired: it takes no balls and cannot retire again.
+    Retired {
+        /// The offending bin index.
+        bin: usize,
+    },
+    /// A retiring bin still holds balls.
+    NotEmpty {
+        /// The offending bin index.
+        bin: usize,
+    },
+    /// Retiring the bin would leave no live bin.
+    LastBin,
 }
 
 impl core::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             ConfigError::NoBins => write!(f, "a configuration requires at least one bin"),
-            ConfigError::TotalOverflow => write!(f, "total number of balls overflows u64"),
+            ConfigError::TotalOverflow => {
+                write!(f, "a total (balls, weight or rate) overflows u64")
+            }
             ConfigError::BinOutOfRange { bin, n } => {
                 write!(f, "bin {bin} is outside 0..{n}")
             }
-            ConfigError::EmptyBin { bin } => {
-                write!(f, "bin {bin} holds no ball to remove")
-            }
+            ConfigError::EmptyBin { bin } => write!(f, "bin {bin} holds no ball"),
+            ConfigError::SelfLoop { bin } => write!(f, "move from bin {bin} to itself"),
+            ConfigError::Retired { bin } => write!(f, "bin {bin} is retired"),
+            ConfigError::NotEmpty { bin } => write!(f, "bin {bin} still holds balls"),
+            ConfigError::LastBin => write!(f, "cannot retire the last live bin"),
         }
     }
 }

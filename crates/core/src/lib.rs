@@ -44,6 +44,7 @@ mod moves;
 mod policy;
 mod potential;
 mod rls;
+mod state;
 mod tracker;
 
 pub use config::{BinCounts, Config};
@@ -55,4 +56,5 @@ pub use moves::{Move, MoveClass};
 pub use policy::{BinState, HeteroRingContext, RebalancePolicy, RingContext, RingDecision};
 pub use potential::{phase2_potential, Phase2Snapshot};
 pub use rls::{RlsRule, RlsVariant};
+pub use state::{HeteroBooks, LoadState};
 pub use tracker::LoadTracker;

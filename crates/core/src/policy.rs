@@ -312,6 +312,7 @@ impl RebalancePolicy {
     /// RNG-free, like [`LoadIndex`](crate::LoadIndex)) and may return
     /// `None` (isolated vertex); a ring with no candidate at all decides
     /// `dest: None, moved: false`.
+    #[inline]
     pub fn decide<S, L>(
         &self,
         ctx: RingContext,
@@ -347,6 +348,15 @@ impl RebalancePolicy {
         RingDecision {
             dest: Some(dest),
             moved: dest != source && self.permits_loads(ctx, source_load, dest_load),
+        }
+    }
+}
+
+impl From<RlsRule> for RebalancePolicy {
+    /// The RLS rule as a ring policy (same comparison variant).
+    fn from(rule: RlsRule) -> Self {
+        RebalancePolicy::Rls {
+            variant: rule.variant(),
         }
     }
 }

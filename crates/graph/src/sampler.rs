@@ -1,4 +1,4 @@
-//! Neighbor-restricted destination sampling for the online engines.
+//! Neighbor-restricted destination sampling for every engine.
 //!
 //! The paper's process samples a ring destination uniformly over *all*
 //! bins — the complete graph.  The graph-restricted variant samples

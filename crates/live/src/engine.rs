@@ -30,8 +30,8 @@
 // re-derive a float decision.
 
 use rls_core::{
-    BinState, Config, HeteroRingContext, LoadIndex, LoadTracker, Membership, MembershipSnapshot,
-    Move, RebalancePolicy, RingContext, RingDecision, RlsRule,
+    BinState, Config, HeteroBooks, HeteroRingContext, LoadIndex, LoadState, LoadTracker,
+    Membership, MembershipSnapshot, RebalancePolicy, RingContext, RingDecision, RlsRule,
 };
 use rls_graph::{ElasticDest, Topology};
 use rls_rng::dist::{Distribution, Exponential, Poisson};
@@ -109,51 +109,6 @@ pub struct LiveCounters {
     pub events: u64,
 }
 
-/// Heterogeneity state of a weighted/speed-aware engine (see
-/// [`LiveEngine::with_hetero`]).  `None` on the engine means the classic
-/// unit process with zero extra bookkeeping.
-///
-/// The model: bin `i` runs at integer speed `s_i ≥ 1`, so every ball it
-/// holds carries an `Exp(μ·s_i)` remaining lifetime and an `Exp(s_i)` ring
-/// clock — faster bins drain and rebalance proportionally faster.  The
-/// superposition therefore runs on the *rate mass* `R = Σ s_i·ℓ_i`
-/// (maintained as a second Fenwick tree) instead of the ball count `m`,
-/// and departing/ringing balls are sampled rate-proportionally.  Within a
-/// bin all balls share one clock rate, so the activated ball is uniform in
-/// its bin; the per-ball weight vectors are only materialized for non-unit
-/// weight distributions — a unit-weight run consumes the exact random
-/// stream of the unweighted engine.
-#[derive(Debug, Clone)]
-struct Hetero {
-    /// Law of arriving ball weights.
-    dist: WeightDist,
-    /// Per-bin integer speeds (all `≥ 1`).
-    speeds: Vec<u64>,
-    /// `Σ s_i`, the denominator of the speed-scaled average.
-    total_speed: u64,
-    /// Per-bin total ball weight (mirror of `weight_index` for O(1) reads).
-    weights: Vec<u64>,
-    /// Fenwick tree over per-bin total weight (weight-rank descent).
-    weight_index: LoadIndex,
-    /// Fenwick tree over per-bin rate mass `s_i·ℓ_i` — the law of the
-    /// departure and ring clocks.
-    rate_index: LoadIndex,
-    /// Per-ball weights, bin by bin; `None` iff `dist` is unit (weights
-    /// are then all `1` and need no storage).
-    balls: Option<Vec<Vec<u64>>>,
-}
-
-impl Hetero {
-    /// The [`BinState`] of `bin` (weight + speed), for the policy layer.
-    #[inline]
-    fn state(&self, bin: usize) -> BinState {
-        BinState {
-            weight: self.weights[bin],
-            speed: self.speeds[bin],
-        }
-    }
-}
-
 /// The sequential online engine.
 ///
 /// Drive it in either of two modes:
@@ -188,11 +143,22 @@ impl Hetero {
 /// ```
 #[derive(Debug, Clone)]
 pub struct LiveEngine {
-    cfg: Config,
-    tracker: LoadTracker,
-    /// Fenwick tree over the loads: uniform-ball sampling (departures and
-    /// rings) in O(log n) with no per-ball state.
-    index: LoadIndex,
+    /// The load books: configuration, tracker, the Fenwick index that
+    /// samples a uniform ball (departures and rings) in O(log n), and the
+    /// heterogeneity books of weighted/speed-aware engines.
+    ///
+    /// The heterogeneity model: bin `i` runs at integer speed `s_i ≥ 1`,
+    /// so every ball it holds carries an `Exp(μ·s_i)` remaining lifetime
+    /// and an `Exp(s_i)` ring clock.  The superposition therefore runs on
+    /// the *rate mass* `R = Σ s_i·ℓ_i` instead of the ball count `m`, and
+    /// departing/ringing balls are sampled rate-proportionally.  Within a
+    /// bin all balls share one clock rate, so the activated ball is uniform
+    /// in its bin; per-ball weights are only stored for non-unit weight
+    /// laws — a unit-weight run consumes the exact random stream of the
+    /// unweighted engine.
+    state: LoadState,
+    /// Law of arriving ball weights ([`WeightDist::Unit`] on unit engines).
+    dist: WeightDist,
     params: LiveParams,
     /// The decision rule applied per ring (enum-dispatched: part of the
     /// engine's snapshot identity).
@@ -214,8 +180,6 @@ pub struct LiveEngine {
     time: f64,
     seq: u64,
     counters: LiveCounters,
-    /// Weighted-ball / heterogeneous-speed state (`None`: unit process).
-    hetero: Option<Hetero>,
     /// Telemetry taps ([`attach_metrics`](Self::attach_metrics)). Never
     /// part of snapshot identity, never consulted by the dynamics: every
     /// hook is a write-only atomic increment, which is what the
@@ -230,15 +194,7 @@ impl LiveEngine {
     /// Any population up to `u64::MAX` is accepted: the engine holds
     /// `O(n)` state regardless of the ball count.
     pub fn new(initial: Config, params: LiveParams, rule: RlsRule) -> Result<Self, LiveError> {
-        Self::with_policy(
-            initial,
-            params,
-            RebalancePolicy::Rls {
-                variant: rule.variant(),
-            },
-            Topology::Complete,
-            0,
-        )
+        Self::with_policy(initial, params, rule.into(), Topology::Complete, 0)
     }
 
     /// Create an engine over an arbitrary `(policy, topology)` pair.
@@ -260,12 +216,9 @@ impl LiveEngine {
         let dest = ElasticDest::build(topology, initial.n(), graph_seed)
             .map_err(|e| LiveError::params(format!("topology `{topology}`: {e}")))?;
         let membership = Membership::new(initial.n());
-        let index = LoadIndex::new(&initial);
-        let tracker = LoadTracker::new(&initial);
         Ok(Self {
-            cfg: initial,
-            tracker,
-            index,
+            state: LoadState::new(initial),
+            dist: WeightDist::Unit,
             params,
             policy,
             dest,
@@ -276,7 +229,6 @@ impl LiveEngine {
             time: 0.0,
             seq: 0,
             counters: LiveCounters::default(),
-            hetero: None,
             metrics: None,
         })
     }
@@ -332,79 +284,16 @@ impl LiveEngine {
         balls: Option<Vec<Vec<u64>>>,
     ) -> Result<(), LiveError> {
         dist.validate().map_err(LiveError::params)?;
-        let n = self.cfg.n();
-        if speeds.len() != n {
-            return Err(LiveError::params(format!(
-                "speed vector has {} entries for {n} bins",
-                speeds.len()
-            )));
-        }
-        if speeds.contains(&0) {
-            return Err(LiveError::params("bin speeds must be at least one"));
-        }
         if dist.is_unit() != balls.is_none() {
             return Err(LiveError::params(
                 "per-ball weights must be stored exactly when the weight distribution \
                  is non-unit",
             ));
         }
-        let weights: Vec<u64> = match &balls {
-            None => self.cfg.loads().to_vec(),
-            Some(balls) => {
-                if balls.len() != n {
-                    return Err(LiveError::params(format!(
-                        "ball-weight table has {} bins for {n}",
-                        balls.len()
-                    )));
-                }
-                for (b, bin) in balls.iter().enumerate() {
-                    if bin.len() as u64 != self.cfg.load(b) {
-                        return Err(LiveError::params(format!(
-                            "bin {b} stores {} ball weights for load {}",
-                            bin.len(),
-                            self.cfg.load(b)
-                        )));
-                    }
-                    if bin.contains(&0) {
-                        return Err(LiveError::params("ball weights must be positive"));
-                    }
-                }
-                balls
-                    .iter()
-                    .map(|bin| {
-                        bin.iter()
-                            .try_fold(0u64, |acc, &w| acc.checked_add(w))
-                            .ok_or_else(|| LiveError::params("total bin weight overflows u64"))
-                    })
-                    .collect::<Result<_, _>>()?
-            }
-        };
-        let rates: Vec<u64> = speeds
-            .iter()
-            .zip(self.cfg.loads())
-            .map(|(&s, &l)| {
-                s.checked_mul(l)
-                    .ok_or_else(|| LiveError::params("bin rate mass overflows u64"))
-            })
-            .collect::<Result<_, _>>()?;
-        // Only live bins contribute to the speed-scaled average; on a
-        // churn-free engine the live set is exactly `0..n`, so this is the
-        // same sum in the same order as the pre-elastic engine computed.
-        let total_speed = self
-            .membership
-            .live_ids()
-            .iter()
-            .try_fold(0u64, |acc, &b| acc.checked_add(speeds[b as usize]))
-            .ok_or_else(|| LiveError::params("total speed overflows u64"))?;
-        self.hetero = Some(Hetero {
-            dist,
-            total_speed,
-            weight_index: LoadIndex::from_loads(&weights),
-            rate_index: LoadIndex::from_loads(&rates),
-            weights,
-            speeds,
-            balls,
-        });
+        self.state
+            .attach_hetero(speeds, balls)
+            .map_err(LiveError::params)?;
+        self.dist = dist;
         Ok(())
     }
 
@@ -427,17 +316,23 @@ impl LiveEngine {
 
     /// Current configuration.
     pub fn config(&self) -> &Config {
-        &self.cfg
+        self.state.config()
     }
 
     /// Incrementally maintained summary of the configuration.
     pub fn tracker(&self) -> &LoadTracker {
-        &self.tracker
+        self.state.tracker()
     }
 
     /// The Fenwick index over the loads (exchangeable-ball sampling).
     pub fn index(&self) -> &LoadIndex {
-        &self.index
+        self.state.index()
+    }
+
+    /// The load books (configuration, tracker, index and heterogeneity
+    /// books together).
+    pub fn state(&self) -> &LoadState {
+        &self.state
     }
 
     /// Current simulation time.
@@ -500,44 +395,44 @@ impl LiveEngine {
     /// Whether this engine carries heterogeneity state (weighted balls
     /// and/or per-bin speeds).
     pub fn is_hetero(&self) -> bool {
-        self.hetero.is_some()
+        self.state.hetero().is_some()
     }
 
     /// The law of arriving ball weights ([`WeightDist::Unit`] on unit
     /// engines).
     pub fn weight_dist(&self) -> WeightDist {
-        self.hetero.as_ref().map_or(WeightDist::Unit, |h| h.dist)
+        self.dist
     }
 
     /// Per-bin speeds, when heterogeneous state is attached.
     pub fn speeds(&self) -> Option<&[u64]> {
-        self.hetero.as_ref().map(|h| h.speeds.as_slice())
+        self.state.hetero().map(|h| h.speeds.as_slice())
     }
 
     /// Speed of one bin (`1` on unit engines).
     pub fn speed(&self, bin: usize) -> u64 {
-        self.hetero.as_ref().map_or(1, |h| h.speeds[bin])
+        self.state.hetero().map_or(1, |h| h.speeds[bin])
     }
 
     /// Total ball weight of one bin (the load on unit engines).
     pub fn bin_weight(&self, bin: usize) -> u64 {
-        self.hetero
-            .as_ref()
-            .map_or_else(|| self.cfg.load(bin), |h| h.weights[bin])
+        self.state
+            .hetero()
+            .map_or_else(|| self.config().load(bin), |h| h.weights[bin])
     }
 
     /// Total ball weight `W = Σ W_i` (`m` on unit engines).
     pub fn total_weight(&self) -> u64 {
-        self.hetero
-            .as_ref()
-            .map_or_else(|| self.cfg.m(), |h| h.weight_index.total())
+        self.state
+            .hetero()
+            .map_or_else(|| self.config().m(), |h| h.weight_index.total())
     }
 
     /// Total speed `S = Σ s_i` (`n` on unit engines).
     pub fn total_speed(&self) -> u64 {
-        self.hetero
-            .as_ref()
-            .map_or(self.cfg.n() as u64, |h| h.total_speed)
+        self.state
+            .hetero()
+            .map_or(self.config().n() as u64, |h| h.total_speed)
     }
 
     /// Normalized load `W_i / s_i` of one bin (the plain load on unit
@@ -550,8 +445,8 @@ impl LiveEngine {
     /// (non-unit weight distributions only; order is not meaningful —
     /// balls within a bin are exchangeable).
     pub fn ball_weights(&self, bin: usize) -> Option<&[u64]> {
-        self.hetero
-            .as_ref()
+        self.state
+            .hetero()
             .and_then(|h| h.balls.as_ref())
             .map(|balls| balls[bin].as_slice())
     }
@@ -559,13 +454,13 @@ impl LiveEngine {
     /// The Fenwick tree over per-bin total weight, when heterogeneous
     /// state is attached (exposed for property tests).
     pub fn weight_index(&self) -> Option<&LoadIndex> {
-        self.hetero.as_ref().map(|h| &h.weight_index)
+        self.state.hetero().map(|h| &h.weight_index)
     }
 
     /// The Fenwick tree over per-bin rate mass `s_i·ℓ_i`, when
     /// heterogeneous state is attached (exposed for property tests).
     pub fn rate_index(&self) -> Option<&LoadIndex> {
-        self.hetero.as_ref().map(|h| &h.rate_index)
+        self.state.hetero().map(|h| &h.rate_index)
     }
 
     /// Draw an arrival weight under the engine's weight law: `None` when
@@ -574,38 +469,18 @@ impl LiveEngine {
     /// resolves open arrival weights through this so its replies can echo
     /// the weight while the engine keeps owning the law.
     pub fn sample_arrival_weight<R: Rng64 + ?Sized>(&self, rng: &mut R) -> Option<u64> {
-        match &self.hetero {
-            Some(h) if !h.dist.is_unit() => Some(h.dist.sample(rng)),
-            _ => None,
-        }
+        (!self.dist.is_unit()).then(|| self.dist.sample(rng))
     }
 
     /// Whether the engine stores per-ball weights (non-unit distribution).
     pub fn stores_ball_weights(&self) -> bool {
-        self.hetero.as_ref().is_some_and(|h| h.balls.is_some())
+        self.state.hetero().is_some_and(|h| h.balls.is_some())
     }
 
-    /// Verify the heterogeneity bookkeeping against a from-scratch rebuild
-    /// (test/debug helper, `O(n + m)`): weight and rate Fenwick totals,
-    /// the weight mirror, and the per-ball vectors must all agree with the
-    /// configuration.
+    /// Verify every book of the engine's [`LoadState`] against a
+    /// from-scratch rebuild (see [`LoadState::matches`]).
     pub fn hetero_matches(&self) -> bool {
-        let Some(h) = &self.hetero else {
-            return true;
-        };
-        let n = self.cfg.n();
-        (0..n).all(|b| {
-            let load = self.cfg.load(b);
-            let by_balls = match &h.balls {
-                Some(balls) => {
-                    balls[b].len() as u64 == load && balls[b].iter().sum::<u64>() == h.weights[b]
-                }
-                None => h.weights[b] == load,
-            };
-            by_balls
-                && h.weight_index.load(b) == h.weights[b]
-                && h.rate_index.load(b) == h.speeds[b] * load
-        })
+        self.state.matches()
     }
 
     /// Draw how many auto-rebalance rings to run after one arrival:
@@ -655,39 +530,10 @@ impl LiveEngine {
         let membership = membership
             .replay_with(|rec, m| dest.apply(rec, m))
             .map_err(LiveError::snapshot)?;
-        if membership.capacity() != cfg.n() {
-            return Err(LiveError::snapshot(format!(
-                "membership log allocates {} bin ids but the load vector has {}",
-                membership.capacity(),
-                cfg.n()
-            )));
-        }
-        if let Some(bin) = (0..cfg.n()).find(|&b| !membership.is_live(b) && cfg.load(b) != 0) {
-            return Err(LiveError::snapshot(format!(
-                "retired bin {bin} carries load {} (drains relocate every ball)",
-                cfg.load(bin)
-            )));
-        }
-        let index = LoadIndex::new(&cfg);
-        // The tracker aggregates over *live* bins only: a retired slot sits
-        // permanently at load zero and must not drag min/average/gap down.
-        let tracker = if membership.is_elastic() {
-            let live_loads: Vec<u64> = membership
-                .live_ids()
-                .iter()
-                .map(|&b| cfg.load(b as usize))
-                .collect();
-            LoadTracker::new(
-                &Config::from_loads(live_loads)
-                    .map_err(|e| LiveError::snapshot(format!("live loads: {e}")))?,
-            )
-        } else {
-            LoadTracker::new(&cfg)
-        };
+        let state = LoadState::with_live(cfg, &membership).map_err(LiveError::snapshot)?;
         Ok(Self {
-            cfg,
-            tracker,
-            index,
+            state,
+            dist: WeightDist::Unit,
             params,
             policy,
             dest,
@@ -698,7 +544,6 @@ impl LiveEngine {
             time,
             seq,
             counters,
-            hetero: None,
             metrics: None,
         })
     }
@@ -708,9 +553,9 @@ impl LiveEngine {
     /// speeds are all `1`, which is what keeps their trajectories
     /// bit-identical).
     fn clock_mass(&self) -> u64 {
-        match &self.hetero {
+        match self.state.hetero() {
             Some(h) => h.rate_index.total(),
-            None => self.cfg.m(),
+            None => self.config().m(),
         }
     }
 
@@ -721,9 +566,9 @@ impl LiveEngine {
         // Always descend via `bin_at_depth` (of which `bin_at` is a thin
         // wrapper) so the selection arithmetic is identical whether the
         // depth is recorded or discarded.
-        let (bin, depth) = match &self.hetero {
+        let (bin, depth) = match self.state.hetero() {
             Some(h) => h.rate_index.bin_at_depth(rank),
-            None => self.index.bin_at_depth(rank),
+            None => self.index().bin_at_depth(rank),
         };
         if let Some(m) = &self.metrics {
             m.descent_depth.record(u64::from(depth));
@@ -735,28 +580,8 @@ impl LiveEngine {
     /// when per-ball weights are stored (one RNG draw), `None` otherwise
     /// (exchangeable unit balls need no pick — and no draw).
     fn pick_ball<R: Rng64 + ?Sized>(&self, bin: usize, rng: &mut R) -> Option<usize> {
-        self.hetero
-            .as_ref()
-            .and_then(|h| h.balls.as_ref())
-            .map(|balls| rng.next_index(balls[bin].len()))
-    }
-
-    /// Weight of the picked ball (`1` when no per-ball weights are
-    /// stored).
-    fn picked_weight(&self, bin: usize, picked: Option<usize>) -> u64 {
-        match (self.hetero.as_ref().and_then(|h| h.balls.as_ref()), picked) {
-            (Some(balls), Some(i)) => balls[bin][i],
-            _ => 1,
-        }
-    }
-
-    /// Draw one arrival weight (`1`, with no RNG draw, unless the engine
-    /// has a non-unit weight distribution).
-    fn draw_weight<R: Rng64 + ?Sized>(&self, rng: &mut R) -> u64 {
-        match &self.hetero {
-            Some(h) => h.dist.sample(rng),
-            None => 1,
-        }
+        self.ball_weights(bin)
+            .map(|balls| rng.next_index(balls.len()))
     }
 
     /// Total event rate at the current population: arrivals + departures +
@@ -787,7 +612,7 @@ impl LiveEngine {
     /// trajectories are bit-identical to the pre-elastic engine.
     pub fn step<R: Rng64 + ?Sized>(&mut self, rng: &mut R) -> Option<LiveEvent> {
         let kind = loop {
-            let m = self.cfg.m();
+            let m = self.config().m();
             let epoch_rate = self
                 .params
                 .arrivals
@@ -820,7 +645,7 @@ impl LiveEngine {
                         .params
                         .arrivals
                         .place_among(self.membership.live_ids(), rng);
-                    let weight = self.draw_weight(rng);
+                    let weight = self.dist.sample(rng);
                     self.arrive(bin, weight);
                     bins.push(bin_u32(bin));
                 }
@@ -836,8 +661,7 @@ impl LiveEngine {
             } else if self.churn.is_none() || pick < epoch_rate + depart_rate + ring_rate {
                 let source = self.clock_bin(rng.next_below(clock_mass));
                 let picked = self.pick_ball(source, rng);
-                let ball = self.picked_weight(source, picked);
-                let decision = self.decide_ring(source, ball, rng);
+                let decision = self.decide_ring(source, picked, rng);
                 break self.apply_ring(source, picked, decision);
             } else if let Some(event) = self.churn.decide(self.time, rng) {
                 if let Some(kind) = self.apply_churn(event, rng) {
@@ -891,8 +715,8 @@ impl LiveEngine {
         rng: &mut R,
         holding: &mut Option<Exponential>,
     ) -> Result<LiveEvent, LiveError> {
-        let n = self.cfg.n();
-        let m = self.cfg.m();
+        let n = self.config().n();
+        let m = self.config().m();
 
         // Validate every explicit coordinate (and the implicit "there is a
         // ball to pick" requirements) before touching state or the RNG.
@@ -919,6 +743,11 @@ impl LiveEngine {
                     Some(0) => {
                         return Err(LiveError::command("arrival weight must be at least 1"));
                     }
+                    Some(w) if self.total_weight().checked_add(w).is_none() => {
+                        return Err(LiveError::command(format!(
+                            "arrival weight {w} overflows the total weight"
+                        )));
+                    }
                     Some(w) if w > 1 && !self.stores_ball_weights() => {
                         return Err(LiveError::command(format!(
                             "arrival weight {w} needs a weighted engine (this engine's \
@@ -933,7 +762,7 @@ impl LiveEngine {
                 match bin {
                     Some(bin) => {
                         check_bin("departure", bin)?;
-                        if self.cfg.load(bin) == 0 {
+                        if self.config().load(bin) == 0 {
                             return Err(LiveError::command(format!(
                                 "departure from empty bin {bin}"
                             )));
@@ -975,7 +804,7 @@ impl LiveEngine {
                 match source {
                     Some(source) => {
                         check_bin("ring source", source)?;
-                        if self.cfg.load(source) == 0 {
+                        if self.config().load(source) == 0 {
                             return Err(LiveError::command(format!(
                                 "ring in empty bin {source} (no ball to activate)"
                             )));
@@ -1045,7 +874,7 @@ impl LiveEngine {
         // invalidates the cache.  Validation errors returned above leave
         // both the engine and the cache untouched.
         *holding = match *cmd {
-            LiveCommand::Ring { .. } if self.hetero.is_none() => Some(law),
+            LiveCommand::Ring { .. } if !self.is_hetero() => Some(law),
             _ => None,
         };
         let dt = law.sample(rng);
@@ -1067,7 +896,7 @@ impl LiveEngine {
                 };
                 let weight = match weight {
                     Some(w) => w,
-                    None => self.draw_weight(rng),
+                    None => self.dist.sample(rng),
                 };
                 self.arrive(bin, weight);
                 LiveEventKind::Arrival {
@@ -1097,7 +926,6 @@ impl LiveEngine {
                     None => self.clock_bin(rng.next_below(self.clock_mass())),
                 };
                 let picked = self.pick_ball(source, rng);
-                let ball = self.picked_weight(source, picked);
                 let decision = match dest {
                     // A pinned destination plays the role of the chosen
                     // candidate: the policy's pair rule decides, which is
@@ -1105,9 +933,9 @@ impl LiveEngine {
                     // replay identically under every policy.
                     Some(dest) => RingDecision {
                         dest: Some(dest),
-                        moved: dest != source && self.permits_pair(source, dest, ball),
+                        moved: dest != source && self.permits_pair(source, dest, picked),
                     },
-                    None => self.decide_ring(source, ball, rng),
+                    None => self.decide_ring(source, picked, rng),
                 };
                 self.apply_ring(source, picked, decision)
             }
@@ -1149,7 +977,7 @@ impl LiveEngine {
         O: LiveObserver,
     {
         let event = self.apply(cmd, rng)?;
-        observer.on_event(&event, &self.tracker);
+        observer.on_event(&event, self.tracker());
         Ok(event)
     }
 
@@ -1189,7 +1017,7 @@ impl LiveEngine {
         for cmd in cmds {
             let res = self.apply_cached(cmd, rng, &mut holding);
             if let Ok(event) = &res {
-                observer.on_event(event, &self.tracker);
+                observer.on_event(event, self.state.tracker());
             }
             out.push(res);
         }
@@ -1203,33 +1031,23 @@ impl LiveEngine {
         R: Rng64 + ?Sized,
         O: LiveObserver,
     {
-        observer.on_start(&self.tracker, self.time);
+        observer.on_start(self.state.tracker(), self.time);
         let mut processed = 0;
         while self.time < until {
             let Some(event) = self.step(rng) else {
                 break;
             };
-            observer.on_event(&event, &self.tracker);
+            observer.on_event(&event, self.state.tracker());
             processed += 1;
         }
         processed
     }
 
-    /// Apply an arrival of a ball of `weight` to `bin`, keeping
-    /// config/tracker/index (and the heterogeneity books) in sync.
+    /// Apply an arrival of a ball of `weight` to `bin`.
     fn arrive(&mut self, bin: usize, weight: u64) {
-        let old = self.cfg.load(bin);
-        self.cfg.add_ball(bin).expect("arrival bin is in range");
-        self.tracker.record_insert(old);
-        self.index.record_insert(bin);
-        if let Some(h) = &mut self.hetero {
-            h.weights[bin] += weight;
-            h.weight_index.add(bin, weight);
-            h.rate_index.add(bin, h.speeds[bin]);
-            if let Some(balls) = &mut h.balls {
-                balls[bin].push(weight);
-            }
-        }
+        self.state
+            .insert(bin, weight)
+            .expect("validated arrival applies");
         self.counters.arrivals += 1;
         if let Some(m) = &self.metrics {
             m.arrivals.inc();
@@ -1239,102 +1057,95 @@ impl LiveEngine {
     /// Apply a departure from `bin` (`picked` names the ball when per-ball
     /// weights are stored).
     fn depart(&mut self, bin: usize, picked: Option<usize>) {
-        let old = self.cfg.load(bin);
-        self.cfg
-            .remove_ball(bin)
+        self.state
+            .remove(bin, picked)
             .expect("departing ball occupies a non-empty bin");
-        self.tracker.record_remove(old);
-        self.index.record_remove(bin);
-        if let Some(h) = &mut self.hetero {
-            let weight = match (&mut h.balls, picked) {
-                (Some(balls), Some(i)) => balls[bin].swap_remove(i),
-                _ => 1,
-            };
-            h.weights[bin] -= weight;
-            h.weight_index.sub(bin, weight);
-            h.rate_index.sub(bin, h.speeds[bin]);
-        }
         self.counters.departures += 1;
         if let Some(m) = &self.metrics {
             m.departures.inc();
         }
     }
 
-    /// Does the policy's pair rule permit moving a ball of weight `ball`
-    /// from `source` to `dest`?  Unit engines compare raw loads; weighted
-    /// engines compare normalized loads through
-    /// [`RebalancePolicy::permits_weighted`].
-    fn permits_pair(&self, source: usize, dest: usize, ball: u64) -> bool {
-        match &self.hetero {
-            Some(h) => self.policy.permits_weighted(
-                HeteroRingContext {
-                    n: self.membership.live_count(),
-                    total_weight: h.weight_index.total(),
-                    total_speed: h.total_speed,
-                },
-                h.state(source),
-                h.state(dest),
-                ball,
-            ),
-            None => self.policy.permits_loads(
-                RingContext {
-                    n: self.membership.live_count(),
-                    m: self.cfg.m(),
-                },
-                self.cfg.load(source),
-                self.cfg.load(dest),
-            ),
+    /// The global quantities a weighted decision consults.
+    fn hetero_ctx(&self) -> HeteroRingContext {
+        HeteroRingContext {
+            n: self.membership.live_count(),
+            total_weight: self.total_weight(),
+            total_speed: self.total_speed(),
         }
     }
 
-    /// Run the policy's decision for a ring of a ball of weight `ball` in
+    /// The global quantities a unit decision consults.
+    fn ring_ctx(&self) -> RingContext {
+        RingContext {
+            n: self.membership.live_count(),
+            m: self.config().m(),
+        }
+    }
+
+    /// Weight of the ball `picked` in `bin` (`1` when no per-ball weights
+    /// are stored).
+    fn picked_weight(&self, bin: usize, picked: Option<usize>) -> u64 {
+        match (self.ball_weights(bin), picked) {
+            (Some(balls), Some(i)) => balls[i],
+            _ => 1,
+        }
+    }
+
+    /// Does the policy's pair rule permit moving the ball `picked` from
+    /// `source` to `dest`?  Unit engines compare raw loads; weighted
+    /// engines compare normalized loads through
+    /// [`RebalancePolicy::permits_weighted`].
+    fn permits_pair(&self, source: usize, dest: usize, picked: Option<usize>) -> bool {
+        if let Some(h) = self.state.hetero() {
+            self.policy.permits_weighted(
+                self.hetero_ctx(),
+                bin_state(h, source),
+                bin_state(h, dest),
+                self.picked_weight(source, picked),
+            )
+        } else {
+            let cfg = self.config();
+            self.policy
+                .permits_loads(self.ring_ctx(), cfg.load(source), cfg.load(dest))
+        }
+    }
+
+    /// Run the policy's decision for a ring of the ball `picked` in
     /// `source`: sample the candidate set through the topology layer and
     /// apply the pair rule.
     fn decide_ring<R: Rng64 + ?Sized>(
         &self,
         source: usize,
-        ball: u64,
+        picked: Option<usize>,
         rng: &mut R,
     ) -> RingDecision {
         let dest = &self.dest;
         let membership = &self.membership;
+        let state = &self.state;
         // Count candidate draws through a Cell so the sampler closure
         // stays `FnMut` over `rng` alone; the count feeds the per-policy
         // probe counter without perturbing the draw sequence.
         let probes = Cell::new(0u64);
-        let decision = match &self.hetero {
-            Some(h) => self.policy.decide_weighted(
-                HeteroRingContext {
-                    n: membership.live_count(),
-                    total_weight: h.weight_index.total(),
-                    total_speed: h.total_speed,
-                },
+        let sample = || {
+            probes.set(probes.get() + 1);
+            dest.sample(source, membership, rng)
+        };
+        let decision = if let Some(h) = state.hetero() {
+            self.policy.decide_weighted(
+                self.hetero_ctx(),
                 source,
-                h.state(source),
-                ball,
-                || {
-                    probes.set(probes.get() + 1);
-                    dest.sample(source, membership, rng)
-                },
-                |b| h.state(b),
-            ),
-            None => {
-                let ctx = RingContext {
-                    n: membership.live_count(),
-                    m: self.cfg.m(),
-                };
-                let cfg = &self.cfg;
-                self.policy.decide(
-                    ctx,
-                    source,
-                    cfg.load(source),
-                    || {
-                        probes.set(probes.get() + 1);
-                        dest.sample(source, membership, rng)
-                    },
-                    |b| cfg.load(b),
-                )
-            }
+                bin_state(h, source),
+                self.picked_weight(source, picked),
+                sample,
+                |b| bin_state(h, b),
+            )
+        } else {
+            let cfg = state.config();
+            self.policy
+                .decide(self.ring_ctx(), source, cfg.load(source), sample, |b| {
+                    cfg.load(b)
+                })
         };
         if let Some(m) = &self.metrics {
             m.probes.add(probes.get());
@@ -1363,28 +1174,9 @@ impl LiveEngine {
         }
         let dest = decision.dest.unwrap_or(source);
         if decision.moved {
-            let (lf, lt) = (self.cfg.load(source), self.cfg.load(dest));
-            self.cfg
-                .apply(Move::new(source, dest))
+            self.state
+                .move_ball(source, dest, picked)
                 .expect("decided move applies");
-            self.tracker.record_move(lf, lt);
-            self.index.record_move(source, dest);
-            if let Some(h) = &mut self.hetero {
-                let weight = match (&mut h.balls, picked) {
-                    (Some(balls), Some(i)) => {
-                        let w = balls[source].swap_remove(i);
-                        balls[dest].push(w);
-                        w
-                    }
-                    _ => 1,
-                };
-                h.weights[source] -= weight;
-                h.weights[dest] += weight;
-                h.weight_index.sub(source, weight);
-                h.weight_index.add(dest, weight);
-                h.rate_index.sub(source, h.speeds[source]);
-                h.rate_index.add(dest, h.speeds[dest]);
-            }
             self.counters.migrations += 1;
         }
         LiveEventKind::Ring {
@@ -1453,35 +1245,19 @@ impl LiveEngine {
     /// Callers gate on [`ElasticDest::feasible`] first.
     fn join_bin<R: Rng64 + ?Sized>(&mut self, warm: bool, rng: &mut R) -> JoinRecord {
         let bin = self.membership.join();
-        let cfg_bin = self.cfg.push_bin();
-        debug_assert_eq!(bin, cfg_bin, "membership and load vector grow in lockstep");
-        let idx_bin = self.index.add_bin(0);
-        debug_assert_eq!(
-            bin, idx_bin,
-            "membership and Fenwick index grow in lockstep"
-        );
-        self.tracker.bin_joined(0);
-        if let Some(h) = &mut self.hetero {
-            // Joining bins run at the baseline speed with no balls; the
-            // autoscaler model has no channel to request a faster machine.
-            h.speeds.push(1);
-            h.total_speed += 1;
-            h.weights.push(0);
-            h.weight_index.add_bin(0);
-            h.rate_index.add_bin(0);
-            if let Some(balls) = &mut h.balls {
-                balls.push(Vec::new());
-            }
-        }
+        // Joining bins run at the baseline speed with no balls; the
+        // autoscaler model has no channel to request a faster machine.
+        let state_bin = self.state.add_bin();
+        debug_assert_eq!(bin, state_bin, "membership and load books grow in lockstep");
         let record = *self.membership.log().last().expect("join just logged");
         self.dest.apply(record, &self.membership);
         self.counters.joins += 1;
         let mut warm_from = Vec::new();
         if warm {
-            let share = self.cfg.m() / self.membership.live_count() as u64;
+            let share = self.config().m() / self.membership.live_count() as u64;
             for _ in 0..share {
                 let source = loop {
-                    let b = self.index.bin_at(rng.next_below(self.cfg.m()));
+                    let b = self.index().bin_at(rng.next_below(self.config().m()));
                     if b != bin {
                         break b;
                     }
@@ -1505,8 +1281,8 @@ impl LiveEngine {
     /// Callers validate that `victim` is live, is not the last live bin,
     /// and that [`ElasticDest::feasible`] accepts the shrunken live set.
     fn drain_one<R: Rng64 + ?Sized>(&mut self, victim: usize, rng: &mut R) -> DrainRecord {
-        let mut moved_to = Vec::with_capacity(self.cfg.load(victim) as usize);
-        while self.cfg.load(victim) > 0 {
+        let mut moved_to = Vec::with_capacity(self.config().load(victim) as usize);
+        while self.config().load(victim) > 0 {
             let dest = loop {
                 let d = self
                     .membership
@@ -1519,14 +1295,9 @@ impl LiveEngine {
             moved_to.push(bin_u32(dest));
         }
         self.membership.retire(victim);
-        self.tracker.bin_retired();
-        let leftover = self.index.retire_bin(victim);
-        debug_assert_eq!(leftover, 0, "drained bin retires at zero mass");
-        if let Some(h) = &mut self.hetero {
-            h.total_speed -= h.speeds[victim];
-            h.weight_index.retire_bin(victim);
-            h.rate_index.retire_bin(victim);
-        }
+        self.state
+            .retire_bin(victim)
+            .expect("a drained live bin retires");
         let record = *self.membership.log().last().expect("retire just logged");
         self.dest.apply(record, &self.membership);
         self.counters.drains += 1;
@@ -1537,34 +1308,23 @@ impl LiveEngine {
     }
 
     /// Move one exchangeable ball from `source` to `dest` outside the ring
-    /// protocol (scale events: warm steals and drain relocations), keeping
-    /// config/tracker/index and the heterogeneity books in sync.  Not a
+    /// protocol (scale events: warm steals and drain relocations).  Not a
     /// migration for counting purposes — the ball was forced, not
     /// rebalanced.
     fn force_move<R: Rng64 + ?Sized>(&mut self, source: usize, dest: usize, rng: &mut R) {
         let picked = self.pick_ball(source, rng);
-        let (lf, lt) = (self.cfg.load(source), self.cfg.load(dest));
-        self.cfg
-            .apply(Move::new(source, dest))
+        self.state
+            .move_ball(source, dest, picked)
             .expect("forced move applies");
-        self.tracker.record_move(lf, lt);
-        self.index.record_move(source, dest);
-        if let Some(h) = &mut self.hetero {
-            let weight = match (&mut h.balls, picked) {
-                (Some(balls), Some(i)) => {
-                    let w = balls[source].swap_remove(i);
-                    balls[dest].push(w);
-                    w
-                }
-                _ => 1,
-            };
-            h.weights[source] -= weight;
-            h.weights[dest] += weight;
-            h.weight_index.sub(source, weight);
-            h.weight_index.add(dest, weight);
-            h.rate_index.sub(source, h.speeds[source]);
-            h.rate_index.add(dest, h.speeds[dest]);
-        }
+    }
+}
+
+/// The [`BinState`] (weight + speed) of `bin`, for the policy layer.
+#[inline]
+fn bin_state(h: &HeteroBooks, bin: usize) -> BinState {
+    BinState {
+        weight: h.weights[bin],
+        speed: h.speeds[bin],
     }
 }
 
@@ -1598,10 +1358,9 @@ mod tests {
         let mut rng = rng_from_seed(1);
         for _ in 0..20_000 {
             eng.step(&mut rng).unwrap();
-            debug_assert!(eng.tracker().matches(eng.config()));
+            debug_assert!(eng.state().matches());
         }
-        assert!(eng.tracker().matches(eng.config()));
-        assert!(eng.index().matches(eng.config()));
+        assert!(eng.state().matches());
         let c = eng.counters();
         assert_eq!(c.events, 20_000);
         assert_eq!(c.arrivals + c.departures + c.rings, 20_000);
@@ -1645,8 +1404,7 @@ mod tests {
             }
         }
         // Population cannot go negative and the engine stays consistent.
-        assert!(eng.tracker().matches(eng.config()));
-        assert!(eng.index().matches(eng.config()));
+        assert!(eng.state().matches());
     }
 
     #[test]
@@ -1673,7 +1431,7 @@ mod tests {
             }
         }
         assert!(saw_burst);
-        assert!(eng.tracker().matches(eng.config()));
+        assert!(eng.state().matches());
     }
 
     #[test]
@@ -1756,8 +1514,7 @@ mod tests {
             )
             .unwrap();
         }
-        assert!(eng.tracker().matches(eng.config()));
-        assert!(eng.index().matches(eng.config()));
+        assert!(eng.state().matches());
         let c = eng.counters();
         assert_eq!(c.events, 602);
         assert_eq!(c.arrivals, 201);
@@ -1951,7 +1708,6 @@ mod tests {
             eng.step(&mut rng).unwrap();
         }
         assert_eq!(eng.counters().events, 500);
-        assert!(eng.tracker().matches(eng.config()));
-        assert!(eng.index().matches(eng.config()));
+        assert!(eng.state().matches());
     }
 }

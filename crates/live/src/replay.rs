@@ -12,7 +12,7 @@
 // opaque payload: they are carried verbatim and compared bit-for-bit; no
 // new float randomness enters a replayed trajectory.
 
-use rls_core::{Config, LoadTracker, Move, RebalancePolicy, RlsRule};
+use rls_core::{Config, LoadState, LoadTracker, RebalancePolicy, RlsRule};
 use rls_graph::Topology;
 use serde::{Deserialize, Serialize};
 
@@ -47,9 +47,7 @@ impl LogHeader {
     /// The policy in force when the log was recorded ([`policy`](Self::policy)
     /// when present, else the legacy [`rule`](Self::rule) as an RLS policy).
     pub fn effective_policy(&self) -> RebalancePolicy {
-        self.policy.unwrap_or(RebalancePolicy::Rls {
-            variant: self.rule.variant(),
-        })
+        self.policy.unwrap_or(self.rule.into())
     }
 
     /// The topology the log was recorded on (absent = complete graph).
@@ -148,11 +146,11 @@ impl ReplayReport {
 /// cannot be applied); a clean run with mismatching footer is reported via
 /// the `*_match` flags instead.
 pub fn replay(log: &EventLog) -> Result<ReplayReport, LiveError> {
-    let mut cfg = Config::from_loads(log.header.initial_loads.clone())
+    let cfg = Config::from_loads(log.header.initial_loads.clone())
         .map_err(|e| LiveError::log(format!("bad initial loads: {e}")))?;
-    let mut tracker = LoadTracker::new(&cfg);
+    let mut state = LoadState::new(cfg);
     let mut observer = SteadyState::new(log.header.warmup);
-    observer.on_start(&tracker, 0.0);
+    observer.on_start(state.tracker(), 0.0);
 
     let mut last_time = 0.0f64;
     for event in &log.events {
@@ -163,16 +161,17 @@ pub fn replay(log: &EventLog) -> Result<ReplayReport, LiveError> {
             )));
         }
         last_time = event.time;
-        apply(&mut cfg, &mut tracker, event)
+        apply(&mut state, event)
             .map_err(|e| LiveError::log(format!("event {}: {e}", event.seq)))?;
-        observer.on_event(event, &tracker);
+        observer.on_event(event, state.tracker());
     }
 
     let summary = observer.finish(log.footer.time);
-    let loads_match = cfg.loads() == &log.footer.final_loads[..];
+    let final_loads = state.config().loads();
+    let loads_match = final_loads == &log.footer.final_loads[..];
     let summary_matches = summary == log.footer.summary;
     Ok(ReplayReport {
-        final_loads: cfg.loads().to_vec(),
+        final_loads: final_loads.to_vec(),
         summary,
         events: log.events.len() as u64,
         loads_match,
@@ -181,21 +180,15 @@ pub fn replay(log: &EventLog) -> Result<ReplayReport, LiveError> {
 }
 
 /// Apply one recorded event to the state.
-fn apply(cfg: &mut Config, tracker: &mut LoadTracker, event: &LiveEvent) -> Result<(), String> {
+fn apply(state: &mut LoadState, event: &LiveEvent) -> Result<(), Box<dyn std::error::Error>> {
     match &event.kind {
         LiveEventKind::Arrival { bins } => {
             for &bin in bins {
-                let bin = bin as usize;
-                let old = load_checked(cfg, bin)?;
-                cfg.add_ball(bin).map_err(|e| e.to_string())?;
-                tracker.record_insert(old);
+                state.insert(bin as usize, 1)?;
             }
         }
         LiveEventKind::Departure { bin } => {
-            let bin = *bin as usize;
-            let old = load_checked(cfg, bin)?;
-            cfg.remove_ball(bin).map_err(|e| e.to_string())?;
-            tracker.record_remove(old);
+            state.remove(*bin as usize, None)?;
         }
         LiveEventKind::Ring {
             source,
@@ -203,12 +196,7 @@ fn apply(cfg: &mut Config, tracker: &mut LoadTracker, event: &LiveEvent) -> Resu
             moved,
         } => {
             if *moved {
-                let (source, dest) = (*source as usize, *dest as usize);
-                let lf = load_checked(cfg, source)?;
-                let lt = load_checked(cfg, dest)?;
-                cfg.apply(Move::new(source, dest))
-                    .map_err(|e| e.to_string())?;
-                tracker.record_move(lf, lt);
+                state.move_ball(*source as usize, *dest as usize, None)?;
             }
         }
         // Scale events replay from their resolved records alone: the join
@@ -216,54 +204,31 @@ fn apply(cfg: &mut Config, tracker: &mut LoadTracker, event: &LiveEvent) -> Resu
         // membership state or randomness is needed — just the moves.
         LiveEventKind::BinsJoined { joins } => {
             for join in joins {
-                let bin = cfg.push_bin();
+                let bin = state.add_bin();
                 if bin != join.bin as usize {
-                    return Err(format!(
-                        "join record allocates bin {} but the load vector is at {bin}",
-                        join.bin
-                    ));
+                    let want = join.bin;
+                    return Err(
+                        format!("join record allocates bin {want} but the next is {bin}").into(),
+                    );
                 }
-                tracker.bin_joined(0);
                 for &donor in &join.warm_from {
-                    let donor = donor as usize;
-                    let lf = load_checked(cfg, donor)?;
-                    let lt = cfg.load(bin);
-                    cfg.apply(Move::new(donor, bin))
-                        .map_err(|e| e.to_string())?;
-                    tracker.record_move(lf, lt);
+                    state.move_ball(donor as usize, bin, None)?;
                 }
             }
         }
+        // A drain relocates every resident ball, so retiring must find the
+        // victim empty.
         LiveEventKind::BinsDrained { drains } => {
             for drain in drains {
                 let victim = drain.bin as usize;
-                if load_checked(cfg, victim)? != drain.moved_to.len() as u64 {
-                    return Err(format!(
-                        "drain record relocates {} balls but bin {victim} holds {}",
-                        drain.moved_to.len(),
-                        cfg.load(victim)
-                    ));
-                }
                 for &dest in &drain.moved_to {
-                    let dest = dest as usize;
-                    let lf = load_checked(cfg, victim)?;
-                    let lt = load_checked(cfg, dest)?;
-                    cfg.apply(Move::new(victim, dest))
-                        .map_err(|e| e.to_string())?;
-                    tracker.record_move(lf, lt);
+                    state.move_ball(victim, dest as usize, None)?;
                 }
-                tracker.bin_retired();
+                state.retire_bin(victim)?;
             }
         }
     }
     Ok(())
-}
-
-fn load_checked(cfg: &Config, bin: usize) -> Result<u64, String> {
-    if bin >= cfg.n() {
-        return Err(format!("bin {bin} outside 0..{}", cfg.n()));
-    }
-    Ok(cfg.load(bin))
 }
 
 #[cfg(test)]
@@ -353,5 +318,34 @@ mod tests {
         }
 
         assert!(EventLog::from_json("not json").is_err());
+    }
+
+    #[test]
+    fn impossible_moves_and_retirements_error_instead_of_panicking() {
+        let ring = |source, dest| LiveEventKind::Ring {
+            source,
+            dest,
+            moved: true,
+        };
+        let drain = |bin, moved_to: Vec<u32>| LiveEventKind::BinsDrained {
+            drains: vec![crate::event::DrainRecord { bin, moved_to }],
+        };
+        for (loads, kind) in [
+            (vec![8], ring(0, 0)),
+            (vec![8], ring(0, 9)),
+            (vec![0], drain(0, vec![])),
+            (vec![8], drain(9, vec![])),
+            (vec![0, 8], drain(1, vec![0; 7])),
+            (vec![0, 8], drain(1, vec![1; 8])),
+        ] {
+            let mut log = recorded_run(26, 1.0, 0.0);
+            log.header.initial_loads = loads;
+            log.events = vec![LiveEvent {
+                seq: 1,
+                time: 0.5,
+                kind,
+            }];
+            assert!(replay(&log).is_err(), "{:?}", log.events[0].kind);
+        }
     }
 }

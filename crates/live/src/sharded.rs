@@ -191,9 +191,7 @@ impl ShardedEngine {
         Self::with_policy(
             initial,
             params,
-            RebalancePolicy::Rls {
-                variant: rule.variant(),
-            },
+            rule.into(),
             Topology::Complete,
             0,
             shards,

@@ -359,7 +359,7 @@ mod tests {
         assert_eq!(h.speeds, speeds);
         assert!(h.balls.is_some());
         let (mut resumed, mut rng_c) = snap.restore().unwrap();
-        assert!(resumed.hetero_matches());
+        assert!(resumed.state().matches());
         resumed.run_until(30.0, &mut rng_c, &mut ());
 
         assert_eq!(straight.config(), resumed.config());

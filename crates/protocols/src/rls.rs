@@ -6,7 +6,7 @@
 
 use rls_core::{Config, RlsRule, RlsVariant};
 use rls_rng::Rng64;
-use rls_sim::{RlsPolicy, Simulation, StopWhen};
+use rls_sim::{Simulation, StopWhen};
 
 use crate::outcome::{CostModel, ProtocolOutcome};
 
@@ -60,7 +60,7 @@ impl RlsProtocol {
         if let Some(b) = self.max_activations {
             stop = stop.with_max_activations(b);
         }
-        let mut sim = Simulation::new(initial.clone(), RlsPolicy::new(RlsRule::new(self.variant)))
+        let mut sim = Simulation::new(initial.clone(), RlsRule::new(self.variant))
             .expect("comparison instances always contain balls");
         let outcome = sim.run(rng, stop);
         ProtocolOutcome {

@@ -15,7 +15,7 @@
 //!
 //! All engine state lives on the loop thread, so there are no locks and
 //! no channel hops on the hot path: requests are routed here
-//! ([`route`]), executed inline ([`execute`]) and answered in sweep order.
+//! (`route`), executed inline (`execute`) and answered in sweep order.
 //! For a single connection that is byte-stream order, which is what makes
 //! a single-connection drive of the HTTP API deterministic and lets tests
 //! cross-check the server against an offline [`ServeCore`] on the same

@@ -118,6 +118,24 @@ fn oversized_head_gets_a_413_and_close() {
 }
 
 #[test]
+fn deeply_nested_json_gets_a_400_and_the_server_lives() {
+    let server = boot(12);
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+    // 50,000 nested arrays (~50 KB) used to overflow the parser's stack
+    // and abort the whole process; the nesting cap answers 400 instead.
+    let body = "[".repeat(50_000);
+    for path in ["/v1/arrive", "/v1/restore"] {
+        let (status, reply) = client.request("POST", path, body.as_bytes()).unwrap();
+        assert_eq!(status, 400, "{path}");
+        let reply = String::from_utf8_lossy(&reply);
+        assert!(reply.contains("nesting"), "{path}: {reply}");
+    }
+    let health = client.request_ok("GET", "/healthz", b"").unwrap();
+    assert!(health.contains("\"ok\""), "{health}");
+    server.shutdown();
+}
+
+#[test]
 fn bad_content_length_gets_a_400_and_close() {
     let server = boot(10);
     let mut stream = raw_socket(&server);

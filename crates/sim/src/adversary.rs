@@ -11,7 +11,7 @@
 use rls_core::MoveClass;
 use rls_rng::{Rng64, RngExt};
 
-use crate::engine::{Policy, Simulation};
+use crate::engine::Simulation;
 use crate::events::Event;
 
 /// An adversary that may inject destructive moves after each protocol event.
@@ -23,12 +23,7 @@ use crate::events::Event;
 /// improving move.
 pub trait Adversary {
     /// Called after every activation (whether or not the ball moved).
-    fn after_event<P: Policy, R: Rng64 + ?Sized>(
-        &mut self,
-        event: &Event,
-        sim: &mut Simulation<P>,
-        rng: &mut R,
-    );
+    fn after_event<R: Rng64 + ?Sized>(&mut self, event: &Event, sim: &mut Simulation, rng: &mut R);
 }
 
 /// The trivial adversary: does nothing.  `P(0)` in the Lemma 2 proof.
@@ -37,10 +32,10 @@ pub struct NoAdversary;
 
 impl Adversary for NoAdversary {
     #[inline]
-    fn after_event<P: Policy, R: Rng64 + ?Sized>(
+    fn after_event<R: Rng64 + ?Sized>(
         &mut self,
         _event: &Event,
-        _sim: &mut Simulation<P>,
+        _sim: &mut Simulation,
         _rng: &mut R,
     ) {
     }
@@ -84,12 +79,7 @@ impl RandomDestructiveAdversary {
 }
 
 impl Adversary for RandomDestructiveAdversary {
-    fn after_event<P: Policy, R: Rng64 + ?Sized>(
-        &mut self,
-        event: &Event,
-        sim: &mut Simulation<P>,
-        rng: &mut R,
-    ) {
+    fn after_event<R: Rng64 + ?Sized>(&mut self, event: &Event, sim: &mut Simulation, rng: &mut R) {
         if !event.moved {
             return;
         }
@@ -135,10 +125,10 @@ impl PileUpAdversary {
 }
 
 impl Adversary for PileUpAdversary {
-    fn after_event<P: Policy, R: Rng64 + ?Sized>(
+    fn after_event<R: Rng64 + ?Sized>(
         &mut self,
         event: &Event,
-        sim: &mut Simulation<P>,
+        sim: &mut Simulation,
         _rng: &mut R,
     ) {
         if !event.moved {
@@ -168,17 +158,12 @@ impl Adversary for PileUpAdversary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::RlsPolicy;
     use crate::stopping::StopWhen;
     use rls_core::{Config, RlsRule};
     use rls_rng::rng_from_seed;
 
-    fn sim(n: usize, m: u64) -> Simulation<RlsPolicy> {
-        Simulation::new(
-            Config::all_in_one_bin(n, m).unwrap(),
-            RlsPolicy::new(RlsRule::paper()),
-        )
-        .unwrap()
+    fn sim(n: usize, m: u64) -> Simulation {
+        Simulation::new(Config::all_in_one_bin(n, m).unwrap(), RlsRule::paper()).unwrap()
     }
 
     #[test]

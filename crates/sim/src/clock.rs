@@ -167,7 +167,7 @@ impl ClockEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{RlsPolicy, Simulation};
+    use crate::engine::Simulation;
     use crate::stats::Summary;
     use rls_rng::rng_from_seed;
 
@@ -233,7 +233,7 @@ mod tests {
             );
 
             let cfg = Config::all_in_one_bin(n, m).unwrap();
-            let mut sim = Simulation::new(cfg, RlsPolicy::new(RlsRule::paper())).unwrap();
+            let mut sim = Simulation::new(cfg, RlsRule::paper()).unwrap();
             super_times.push(
                 sim.run(&mut rng_from_seed(300 + t), StopWhen::perfectly_balanced())
                     .time,

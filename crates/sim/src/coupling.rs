@@ -21,7 +21,7 @@ use rls_rng::{StreamFactory, StreamId};
 use serde::{Deserialize, Serialize};
 
 use crate::adversary::Adversary;
-use crate::engine::{RlsPolicy, Simulation};
+use crate::engine::Simulation;
 use crate::parallel::parallel_map;
 use crate::stats::{dominance_report, DominanceReport};
 
@@ -163,7 +163,7 @@ fn discrepancies_at<A: Adversary>(
     adversary: &mut A,
     adversary_rng: &mut rls_rng::Xoshiro256PlusPlus,
 ) -> Vec<f64> {
-    let mut sim = Simulation::new(initial, RlsPolicy::new(RlsRule::paper()))
+    let mut sim = Simulation::new(initial, RlsRule::paper())
         .expect("DML experiment configurations have at least one ball");
     let mut sorted: Vec<(usize, f64)> = checkpoints.iter().copied().enumerate().collect();
     sorted.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(core::cmp::Ordering::Equal));

@@ -12,14 +12,19 @@
 //! continuous-time law, not a discretization or an approximation: the
 //! sampled bin has exactly the distribution of the activated ball's bin.
 //!
-//! The engine is generic over a [`Policy`] (which move rule to apply) and an
-//! [`Adversary`] (the destructive-move injector used by
-//! the Lemma 2 experiments).  Progress quantities (discrepancy, overloaded
-//! balls, Phase-2 potential) are maintained incrementally through
-//! [`LoadTracker`], so checking a stopping condition after every event is
-//! O(1) too.
+//! A ring is one step of the shared ring decision: a Fenwick rank picks
+//! the source bin, the [`DestSampler`] draws a destination (uniform over
+//! all bins on the complete graph, over the source's neighbours on a
+//! sparse topology), [`RebalancePolicy::decide`] rules on it, and
+//! [`LoadState::move_ball`] applies the migration.  Any offline policy ×
+//! topology pair therefore runs on this one engine.  An [`Adversary`]
+//! injects the destructive moves of the Lemma 2 experiments.  Progress
+//! quantities (discrepancy, overloaded balls, Phase-2 potential) are
+//! maintained incrementally through [`LoadTracker`], so checking a stopping
+//! condition after every event is O(1) too.
 
-use rls_core::{Config, LoadIndex, LoadTracker, Move, RlsRule};
+use rls_core::{Config, LoadIndex, LoadState, LoadTracker, RebalancePolicy, RingContext, RlsRule};
+use rls_graph::DestSampler;
 use rls_rng::dist::{Distribution, Exponential};
 use rls_rng::{Rng64, RngExt};
 
@@ -28,44 +33,21 @@ use crate::events::Event;
 use crate::observer::Observer;
 use crate::stopping::StopWhen;
 
-/// A decision rule for sequential-activation protocols: given the current
-/// loads, should the activated ball migrate from `source` to `dest`?
-pub trait Policy {
-    /// Decide the migration.  `source != dest` is guaranteed by the engine.
-    fn permits(&self, loads: &[u64], source: usize, dest: usize) -> bool;
-
-    /// A short name for experiment tables.
-    fn name(&self) -> &'static str {
-        "policy"
-    }
-}
-
-/// The RLS rule as an engine policy (either variant).
+/// The RLS rule as a simulation policy: `RlsPolicy::new(rule)` converts
+/// into the same [`RebalancePolicy`] as `rule` itself.
 #[derive(Debug, Clone, Copy)]
-pub struct RlsPolicy {
-    rule: RlsRule,
-}
+pub struct RlsPolicy(RlsRule);
 
 impl RlsPolicy {
     /// Wrap an RLS rule.
     pub fn new(rule: RlsRule) -> Self {
-        Self { rule }
-    }
-
-    /// The underlying rule.
-    pub fn rule(&self) -> RlsRule {
-        self.rule
+        Self(rule)
     }
 }
 
-impl Policy for RlsPolicy {
-    #[inline]
-    fn permits(&self, loads: &[u64], source: usize, dest: usize) -> bool {
-        self.rule.permits_loads(loads[source], loads[dest])
-    }
-
-    fn name(&self) -> &'static str {
-        self.rule.variant().name()
+impl From<RlsPolicy> for RebalancePolicy {
+    fn from(policy: RlsPolicy) -> Self {
+        policy.0.into()
     }
 }
 
@@ -87,11 +69,10 @@ pub struct RunOutcome {
 
 /// Continuous-time simulation state for a sequential-activation protocol.
 #[derive(Debug, Clone)]
-pub struct Simulation<P: Policy> {
-    cfg: Config,
-    index: LoadIndex,
-    tracker: LoadTracker,
-    policy: P,
+pub struct Simulation {
+    state: LoadState,
+    policy: RebalancePolicy,
+    sampler: DestSampler,
     time: f64,
     activations: u64,
     migrations: u64,
@@ -103,37 +84,69 @@ pub struct Simulation<P: Policy> {
 pub enum SimError {
     /// The process needs at least one ball to have any events.
     NoBalls,
+    /// The policy's parameters are invalid (e.g. greedy-`d` with `d = 0`).
+    InvalidPolicy(String),
+    /// The destination sampler covers a different number of bins than the
+    /// configuration holds.
+    SamplerSize {
+        /// Bins in the configuration.
+        bins: usize,
+        /// Bins the sampler draws from.
+        sampler: usize,
+    },
 }
 
 impl core::fmt::Display for SimError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             SimError::NoBalls => write!(f, "simulation requires at least one ball"),
+            SimError::InvalidPolicy(e) => write!(f, "invalid policy: {e}"),
+            SimError::SamplerSize { bins, sampler } => write!(
+                f,
+                "configuration has {bins} bins but the destination sampler covers {sampler}"
+            ),
         }
     }
 }
 
 impl std::error::Error for SimError {}
 
-impl<P: Policy> Simulation<P> {
-    /// Create a simulation starting from `initial` under the given policy.
+impl Simulation {
+    /// Create a simulation starting from `initial` under the given policy
+    /// on the complete graph (the paper's model).
     ///
     /// Any `m ≥ 1` up to `u64::MAX` is accepted: the engine holds `O(n)`
     /// state regardless of the ball count.
-    pub fn new(initial: Config, policy: P) -> Result<Self, SimError> {
+    pub fn new(initial: Config, policy: impl Into<RebalancePolicy>) -> Result<Self, SimError> {
+        let sampler = DestSampler::Complete { n: initial.n() };
+        Self::with_sampler(initial, policy, sampler)
+    }
+
+    /// Create a simulation whose rings draw destinations through
+    /// `sampler` (one bin per vertex of its topology).
+    pub fn with_sampler(
+        initial: Config,
+        policy: impl Into<RebalancePolicy>,
+        sampler: DestSampler,
+    ) -> Result<Self, SimError> {
+        let policy = policy.into();
+        policy.validate().map_err(SimError::InvalidPolicy)?;
+        if sampler.n() != initial.n() {
+            return Err(SimError::SamplerSize {
+                bins: initial.n(),
+                sampler: sampler.n(),
+            });
+        }
         let m = initial.m();
         if m == 0 {
             return Err(SimError::NoBalls);
         }
-        let index = LoadIndex::new(&initial);
-        let tracker = LoadTracker::new(&initial);
         let waiting_time =
             Exponential::new(m as f64).expect("m ≥ 1 gives a valid exponential rate");
         Ok(Self {
-            cfg: initial,
-            index,
-            tracker,
+            state: LoadState::new(initial),
             policy,
+            sampler,
             time: 0.0,
             activations: 0,
             migrations: 0,
@@ -143,17 +156,22 @@ impl<P: Policy> Simulation<P> {
 
     /// Current configuration.
     pub fn config(&self) -> &Config {
-        &self.cfg
+        self.state.config()
     }
 
     /// Incrementally maintained summary of the configuration.
     pub fn tracker(&self) -> &LoadTracker {
-        &self.tracker
+        self.state.tracker()
     }
 
     /// The Fenwick index over the loads (exchangeable-ball sampling).
     pub fn index(&self) -> &LoadIndex {
-        &self.index
+        self.state.index()
+    }
+
+    /// The load books (configuration, tracker and index together).
+    pub fn state(&self) -> &LoadState {
+        &self.state
     }
 
     /// Current simulation time.
@@ -172,54 +190,52 @@ impl<P: Policy> Simulation<P> {
     }
 
     /// The policy driving this simulation.
-    pub fn policy(&self) -> &P {
-        &self.policy
+    pub fn policy(&self) -> RebalancePolicy {
+        self.policy
     }
 
-    /// Advance by exactly one activation and return the event.
+    /// Advance by exactly one activation and return the event.  An
+    /// isolated vertex's ring (no candidate) is reported as a self-loop.
     pub fn step<R: Rng64 + ?Sized>(&mut self, rng: &mut R) -> Event {
-        let n = self.cfg.n();
         let dt = self.waiting_time.sample(rng);
         self.time += dt;
         self.activations += 1;
 
         // The activated ball is uniform over m balls; exchangeability makes
         // that identical in law to "bin i with probability load_i / m".
-        let rank = rng.next_below(self.index.total());
-        let source = self.index.bin_at(rank);
-        let dest = rng.next_index(n);
-
-        let mut moved = false;
-        if source != dest && self.policy.permits(self.cfg.loads(), source, dest) {
-            let (lf, lt) = (self.cfg.load(source), self.cfg.load(dest));
-            self.cfg
-                .apply(Move::new(source, dest))
-                .expect("permitted move applies");
-            self.tracker.record_move(lf, lt);
-            self.index.record_move(source, dest);
+        let rank = rng.next_below(self.state.index().total());
+        let source = self.state.index().bin_at(rank);
+        let cfg = self.state.config();
+        let sampler = &self.sampler;
+        let ctx = RingContext {
+            n: cfg.n(),
+            m: cfg.m(),
+        };
+        let decision = self.policy.decide(
+            ctx,
+            source,
+            cfg.load(source),
+            || sampler.sample(source, rng),
+            |b| cfg.load(b),
+        );
+        let dest = decision.dest.unwrap_or(source);
+        if decision.moved {
+            self.state
+                .move_ball(source, dest, None)
+                .expect("decided move applies");
             self.migrations += 1;
-            moved = true;
         }
 
-        Event::activation(self.time, source, dest, moved, self.activations)
+        Event::activation(self.time, source, dest, decision.moved, self.activations)
     }
 
     /// Apply an externally chosen (typically destructive) move, relocating
     /// one arbitrary ball from `from` to `to`.  Used by adversaries.
     ///
-    /// Returns `false` (and changes nothing) if the source bin is empty or
-    /// an index is out of range.
+    /// Returns `false` (and changes nothing) if the source bin is empty,
+    /// the bins coincide or an index is out of range.
     pub fn force_move(&mut self, from: usize, to: usize) -> bool {
-        if from == to || from >= self.cfg.n() || to >= self.cfg.n() || self.cfg.load(from) == 0 {
-            return false;
-        }
-        let (lf, lt) = (self.cfg.load(from), self.cfg.load(to));
-        self.cfg
-            .apply(Move::new(from, to))
-            .expect("validated move applies");
-        self.tracker.record_move(lf, lt);
-        self.index.record_move(from, to);
-        true
+        self.state.move_ball(from, to, None).is_ok()
     }
 
     /// Run until the stopping condition triggers.  Convenience wrapper
@@ -243,19 +259,19 @@ impl<P: Policy> Simulation<P> {
         A: Adversary,
         O: Observer,
     {
-        let mut reached_goal = stop.goal_met(&self.tracker, self.time, self.activations);
+        let mut reached_goal = stop.goal_met(self.tracker(), self.time, self.activations);
         while !reached_goal && !stop.budget_exhausted(self.time, self.activations) {
             let event = self.step(rng);
             adversary.after_event(&event, self, rng);
-            observer.on_event(&event, &self.tracker, self.time);
-            reached_goal = stop.goal_met(&self.tracker, self.time, self.activations);
+            observer.on_event(&event, self.state.tracker(), self.time);
+            reached_goal = stop.goal_met(self.state.tracker(), self.time, self.activations);
         }
         RunOutcome {
             time: self.time,
             activations: self.activations,
             migrations: self.migrations,
             reached_goal,
-            final_discrepancy: self.tracker.discrepancy(),
+            final_discrepancy: self.state.tracker().discrepancy(),
         }
     }
 }
@@ -265,8 +281,8 @@ mod tests {
     use super::*;
     use rls_rng::rng_from_seed;
 
-    fn rls() -> RlsPolicy {
-        RlsPolicy::new(RlsRule::paper())
+    fn rls() -> RlsRule {
+        RlsRule::paper()
     }
 
     #[test]
@@ -277,6 +293,22 @@ mod tests {
             SimError::NoBalls
         );
         assert!(SimError::NoBalls.to_string().contains("at least one ball"));
+        let cfg = Config::uniform(4, 2).unwrap();
+        let greedy0 = RebalancePolicy::GreedyD { d: 0 };
+        assert!(matches!(
+            Simulation::new(cfg.clone(), greedy0).unwrap_err(),
+            SimError::InvalidPolicy(_)
+        ));
+        let small = DestSampler::Complete { n: 3 };
+        let err = Simulation::with_sampler(cfg, rls(), small).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::SamplerSize {
+                bins: 4,
+                sampler: 3
+            }
+        );
+        assert!(err.to_string().contains("4 bins"));
     }
 
     #[test]
@@ -308,8 +340,7 @@ mod tests {
         for _ in 0..5000 {
             sim.step(&mut rng);
         }
-        assert!(sim.tracker().matches(sim.config()));
-        assert!(sim.index().matches(sim.config()));
+        assert!(sim.state().matches());
         assert_eq!(sim.config().m(), 40, "moves conserve balls");
     }
 
@@ -373,14 +404,11 @@ mod tests {
         // With loads (30, 10) the source of an activation must be bin 0
         // about 75% of the time — the uniform-ball law.
         let cfg = Config::from_loads(vec![30, 10]).unwrap();
-        // A policy that never moves keeps the loads fixed.
-        struct Frozen;
-        impl Policy for Frozen {
-            fn permits(&self, _: &[u64], _: usize, _: usize) -> bool {
-                false
-            }
-        }
-        let mut sim = Simulation::new(cfg, Frozen).unwrap();
+        // A threshold no bin exceeds never moves, keeping the loads fixed.
+        let frozen = RebalancePolicy::ThresholdFixed {
+            threshold: u64::MAX,
+        };
+        let mut sim = Simulation::new(cfg, frozen).unwrap();
         let mut rng = rng_from_seed(11);
         let trials = 40_000;
         let mut from_heavy = 0u64;
@@ -405,8 +433,7 @@ mod tests {
         assert!(!sim.force_move(0, 9), "out of range");
         assert!(sim.force_move(2, 0), "valid destructive move");
         assert_eq!(sim.config().loads(), &[4, 0, 0]);
-        assert!(sim.tracker().matches(sim.config()));
-        assert!(sim.index().matches(sim.config()));
+        assert!(sim.state().matches());
     }
 
     #[test]
@@ -423,8 +450,8 @@ mod tests {
     #[test]
     fn strict_variant_also_balances() {
         let cfg = Config::all_in_one_bin(6, 36).unwrap();
-        let policy = RlsPolicy::new(RlsRule::new(rls_core::RlsVariant::Strict));
-        assert_eq!(policy.name(), "rls-strict");
+        let policy = RebalancePolicy::from(RlsRule::new(rls_core::RlsVariant::Strict));
+        assert_eq!(policy.to_string(), "rls-strict");
         let mut sim = Simulation::new(cfg, policy).unwrap();
         let mut rng = rng_from_seed(8);
         let outcome = sim.run(&mut rng, StopWhen::perfectly_balanced());

@@ -25,11 +25,11 @@
 //!
 //! ```
 //! use rls_core::{Config, RlsRule};
-//! use rls_sim::{RlsPolicy, Simulation, StopWhen};
+//! use rls_sim::{Simulation, StopWhen};
 //! use rls_rng::rng_from_seed;
 //!
 //! let initial = Config::all_in_one_bin(16, 160).unwrap();
-//! let mut sim = Simulation::new(initial, RlsPolicy::new(RlsRule::paper())).unwrap();
+//! let mut sim = Simulation::new(initial, RlsRule::paper()).unwrap();
 //! let outcome = sim.run(&mut rng_from_seed(7), StopWhen::perfectly_balanced());
 //! assert!(outcome.reached_goal);
 //! assert!(sim.config().is_perfectly_balanced());
@@ -50,7 +50,7 @@ pub mod stats;
 pub mod stopping;
 
 pub use adversary::{Adversary, NoAdversary, PileUpAdversary, RandomDestructiveAdversary};
-pub use engine::{Policy, RlsPolicy, RunOutcome, SimError, Simulation};
+pub use engine::{RlsPolicy, RunOutcome, SimError, Simulation};
 pub use events::Event;
 pub use montecarlo::{MonteCarlo, TrialResult};
 pub use observer::{MoveCounter, Observer, PhaseTracker, TimeSeries};

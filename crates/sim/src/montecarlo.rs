@@ -5,11 +5,11 @@
 //! seed through [`StreamFactory`], so results are reproducible bit-for-bit
 //! regardless of how many threads execute them or in which order.
 
-use rls_core::Config;
+use rls_core::{Config, RebalancePolicy};
 use rls_rng::{StreamFactory, StreamId};
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{Policy, RunOutcome, Simulation};
+use crate::engine::{RunOutcome, Simulation};
 use crate::parallel::{default_threads, parallel_map};
 use crate::stats::Summary;
 use crate::stopping::StopWhen;
@@ -133,37 +133,33 @@ impl MonteCarlo {
     }
 
     /// Run the experiment with a fixed initial configuration and policy.
-    ///
-    /// `make_policy` is invoked once per trial so stateful policies are
-    /// possible; for plain RLS pass a closure returning [`RlsPolicy`](crate::engine::RlsPolicy).
-    pub fn run<P, F>(&self, initial: &Config, stop: StopWhen, make_policy: F) -> MonteCarloReport
-    where
-        P: Policy,
-        F: Fn(u64) -> P + Sync,
-    {
-        self.run_with_setup(stop, |_trial| initial.clone(), make_policy)
+    pub fn run(
+        &self,
+        initial: &Config,
+        stop: StopWhen,
+        policy: impl Into<RebalancePolicy>,
+    ) -> MonteCarloReport {
+        self.run_with_setup(stop, |_trial| initial.clone(), policy)
     }
 
     /// Run the experiment with a per-trial initial configuration (e.g. a
     /// random workload drawn from the trial's own stream).
-    pub fn run_with_setup<P, F, G>(
+    pub fn run_with_setup<G>(
         &self,
         stop: StopWhen,
         make_initial: G,
-        make_policy: F,
+        policy: impl Into<RebalancePolicy>,
     ) -> MonteCarloReport
     where
-        P: Policy,
-        F: Fn(u64) -> P + Sync,
         G: Fn(u64) -> Config + Sync,
     {
+        let policy = policy.into();
         let factory = StreamFactory::new(self.master_seed);
         let salt = self.salt;
         let results = parallel_map(self.trials, self.threads, |i| {
             let trial = i as u64;
             let mut rng = factory.rng(StreamId::trial(trial).with_component(1).with_salt(salt));
             let initial = make_initial(trial);
-            let policy = make_policy(trial);
             let mut sim = Simulation::new(initial, policy)
                 .expect("experiment initial configurations must have at least one ball");
             let outcome = sim.run(&mut rng, stop);
@@ -176,11 +172,10 @@ impl MonteCarlo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::RlsPolicy;
     use rls_core::RlsRule;
 
-    fn policy(_trial: u64) -> RlsPolicy {
-        RlsPolicy::new(RlsRule::paper())
+    fn policy() -> RlsRule {
+        RlsRule::paper()
     }
 
     #[test]
@@ -192,7 +187,8 @@ mod tests {
     #[test]
     fn report_aggregates_all_trials() {
         let initial = Config::all_in_one_bin(8, 64).unwrap();
-        let report = MonteCarlo::new(16, 42).run(&initial, StopWhen::perfectly_balanced(), policy);
+        let report =
+            MonteCarlo::new(16, 42).run(&initial, StopWhen::perfectly_balanced(), policy());
         assert_eq!(report.trials.len(), 16);
         assert_eq!(report.goal_rate, 1.0);
         assert!(report.time.mean > 0.0);
@@ -207,11 +203,11 @@ mod tests {
     #[test]
     fn sequential_and_parallel_agree_exactly() {
         let initial = Config::all_in_one_bin(6, 48).unwrap();
-        let seq = MonteCarlo::new(12, 7).run(&initial, StopWhen::perfectly_balanced(), policy);
+        let seq = MonteCarlo::new(12, 7).run(&initial, StopWhen::perfectly_balanced(), policy());
         let par = MonteCarlo::new(12, 7).with_threads(4).run(
             &initial,
             StopWhen::perfectly_balanced(),
-            policy,
+            policy(),
         );
         assert_eq!(seq.trials, par.trials);
     }
@@ -222,12 +218,12 @@ mod tests {
         let a = MonteCarlo::new(8, 7).with_salt(0).run(
             &initial,
             StopWhen::perfectly_balanced(),
-            policy,
+            policy(),
         );
         let b = MonteCarlo::new(8, 7).with_salt(1).run(
             &initial,
             StopWhen::perfectly_balanced(),
-            policy,
+            policy(),
         );
         assert_ne!(a.trials, b.trials);
     }
@@ -239,7 +235,7 @@ mod tests {
         let report = MonteCarlo::new(6, 3).run_with_setup(
             StopWhen::perfectly_balanced(),
             |trial| Config::all_in_one_bin(4 + (trial as usize % 3), 40).unwrap(),
-            policy,
+            policy(),
         );
         assert_eq!(report.goal_rate, 1.0);
     }
@@ -250,7 +246,7 @@ mod tests {
         let report = MonteCarlo::new(4, 9).run(
             &initial,
             StopWhen::perfectly_balanced().with_max_activations(10),
-            policy,
+            policy(),
         );
         assert_eq!(report.goal_rate, 0.0);
     }
@@ -262,6 +258,6 @@ mod tests {
         let mc2 = MonteCarlo::new(5, 1).with_threads(0);
         // with_threads clamps to ≥ 1
         let initial = Config::all_in_one_bin(4, 16).unwrap();
-        let _ = mc2.run(&initial, StopWhen::perfectly_balanced(), policy);
+        let _ = mc2.run(&initial, StopWhen::perfectly_balanced(), policy());
     }
 }

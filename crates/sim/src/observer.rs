@@ -202,7 +202,7 @@ impl Observer for MoveCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{RlsPolicy, Simulation};
+    use crate::engine::Simulation;
     use crate::stopping::StopWhen;
     use crate::NoAdversary;
     use rls_core::{Config, RlsRule};
@@ -210,7 +210,7 @@ mod tests {
 
     fn run_with<O: Observer>(observer: &mut O) {
         let cfg = Config::all_in_one_bin(8, 64).unwrap();
-        let mut sim = Simulation::new(cfg, RlsPolicy::new(RlsRule::paper())).unwrap();
+        let mut sim = Simulation::new(cfg, RlsRule::paper()).unwrap();
         let mut rng = rng_from_seed(10);
         sim.run_with(
             &mut rng,

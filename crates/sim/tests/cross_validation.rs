@@ -16,7 +16,7 @@ use rls_rng::dist::{Distribution, Exponential};
 use rls_rng::{rng_from_seed, Rng64, RngExt};
 use rls_sim::clock::ClockEngine;
 use rls_sim::stats::{dominance_report, Summary};
-use rls_sim::{RlsPolicy, Simulation, StopWhen};
+use rls_sim::{Simulation, StopWhen};
 
 /// Two-sample Kolmogorov–Smirnov distance `sup_x |F_a(x) − F_b(x)|`.
 fn ks_distance(a: &[f64], b: &[f64]) -> f64 {
@@ -45,7 +45,7 @@ fn clock_and_superposition_engines_agree_in_distribution() {
         });
         let super_times = stopping_times(trials, |t| {
             let cfg = Config::all_in_one_bin(n, m).unwrap();
-            let mut sim = Simulation::new(cfg, RlsPolicy::new(RlsRule::paper())).unwrap();
+            let mut sim = Simulation::new(cfg, RlsRule::paper()).unwrap();
             sim.run(
                 &mut rng_from_seed(salt + 2000 + t),
                 StopWhen::perfectly_balanced(),
@@ -150,7 +150,7 @@ fn fenwick_and_vec_sampling_agree_in_distribution() {
         });
         let fenwick_times = stopping_times(trials, |t| {
             let cfg = Config::all_in_one_bin(n, m).unwrap();
-            let mut sim = Simulation::new(cfg, RlsPolicy::new(RlsRule::paper())).unwrap();
+            let mut sim = Simulation::new(cfg, RlsRule::paper()).unwrap();
             sim.run(
                 &mut rng_from_seed(salt + 5000 + t),
                 StopWhen::perfectly_balanced(),
@@ -186,14 +186,14 @@ fn ks_statistic_detects_a_real_distribution_shift() {
     let trials = 40u64;
     let fast = stopping_times(trials, |t| {
         let cfg = Config::all_in_one_bin(8, 64).unwrap();
-        let mut sim = Simulation::new(cfg, RlsPolicy::new(RlsRule::paper())).unwrap();
+        let mut sim = Simulation::new(cfg, RlsRule::paper()).unwrap();
         sim.run(&mut rng_from_seed(t), StopWhen::perfectly_balanced())
             .time
     });
     // Ten times the balls: a clearly different distribution.
     let slow = stopping_times(trials, |t| {
         let cfg = Config::all_in_one_bin(8, 640).unwrap();
-        let mut sim = Simulation::new(cfg, RlsPolicy::new(RlsRule::paper())).unwrap();
+        let mut sim = Simulation::new(cfg, RlsRule::paper()).unwrap();
         sim.run(&mut rng_from_seed(t), StopWhen::perfectly_balanced())
             .time
     });

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rls_core::{Config, RlsRule, RlsVariant};
 use rls_rng::rng_from_seed;
-use rls_sim::{RlsPolicy, Simulation, StopWhen};
+use rls_sim::{Simulation, StopWhen};
 
 /// Strategy: a small but varied (n, m, seed) instance.
 fn instance() -> impl Strategy<Value = (usize, u64, u64)> {
@@ -19,7 +19,7 @@ proptest! {
     #[test]
     fn simulation_conserves_balls((n, m, seed) in instance()) {
         let initial = Config::all_in_one_bin(n, m).unwrap();
-        let mut sim = Simulation::new(initial, RlsPolicy::new(RlsRule::paper())).unwrap();
+        let mut sim = Simulation::new(initial, RlsRule::paper()).unwrap();
         let mut rng = rng_from_seed(seed);
         let outcome = sim.run(
             &mut rng,
@@ -38,7 +38,7 @@ proptest! {
     fn discrepancy_never_increases((n, m, seed) in instance()) {
         let initial = Config::all_in_one_bin(n, m).unwrap();
         let initial_disc = initial.discrepancy();
-        let mut sim = Simulation::new(initial, RlsPolicy::new(RlsRule::paper())).unwrap();
+        let mut sim = Simulation::new(initial, RlsRule::paper()).unwrap();
         let outcome = sim.run(
             &mut rng_from_seed(seed),
             StopWhen::perfectly_balanced().with_max_activations(20_000),
@@ -54,7 +54,7 @@ proptest! {
     #[test]
     fn time_and_activations_are_consistent((n, m, seed) in instance()) {
         let initial = Config::all_in_one_bin(n, m).unwrap();
-        let mut sim = Simulation::new(initial, RlsPolicy::new(RlsRule::paper())).unwrap();
+        let mut sim = Simulation::new(initial, RlsRule::paper()).unwrap();
         let mut rng = rng_from_seed(seed);
         let mut last_time = 0.0;
         for k in 1..=50u64 {
@@ -73,7 +73,7 @@ proptest! {
     fn both_variants_are_well_behaved((n, m, seed) in instance()) {
         for variant in [RlsVariant::Geq, RlsVariant::Strict] {
             let initial = Config::all_in_one_bin(n, m).unwrap();
-            let mut sim = Simulation::new(initial, RlsPolicy::new(RlsRule::new(variant))).unwrap();
+            let mut sim = Simulation::new(initial, RlsRule::new(variant)).unwrap();
             let outcome = sim.run(
                 &mut rng_from_seed(seed),
                 StopWhen::perfectly_balanced().with_max_activations(20_000),
@@ -88,7 +88,7 @@ proptest! {
     fn replay_is_exact((n, m, seed) in instance()) {
         let run = || {
             let initial = Config::all_in_one_bin(n, m).unwrap();
-            let mut sim = Simulation::new(initial, RlsPolicy::new(RlsRule::paper())).unwrap();
+            let mut sim = Simulation::new(initial, RlsRule::paper()).unwrap();
             sim.run(
                 &mut rng_from_seed(seed),
                 StopWhen::perfectly_balanced().with_max_activations(10_000),
@@ -102,7 +102,7 @@ proptest! {
     #[test]
     fn x_balanced_goal_is_respected((n, m, seed) in instance(), x in 0.5f64..10.0) {
         let initial = Config::all_in_one_bin(n, m).unwrap();
-        let mut sim = Simulation::new(initial, RlsPolicy::new(RlsRule::paper())).unwrap();
+        let mut sim = Simulation::new(initial, RlsRule::paper()).unwrap();
         let outcome = sim.run(
             &mut rng_from_seed(seed),
             StopWhen::x_balanced(x).with_max_activations(20_000),

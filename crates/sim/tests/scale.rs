@@ -9,7 +9,7 @@
 
 use rls_core::{Config, RlsRule};
 use rls_rng::rng_from_seed;
-use rls_sim::{RlsPolicy, Simulation, StopWhen};
+use rls_sim::{Simulation, StopWhen};
 
 const PAST_CAP: u64 = u32::MAX as u64 + 1; // 2^32 balls
 
@@ -17,7 +17,7 @@ const PAST_CAP: u64 = u32::MAX as u64 + 1; // 2^32 balls
 fn constructs_and_steps_past_the_old_u32_ball_cap() {
     let n = 256usize;
     let cfg = Config::all_in_one_bin(n, PAST_CAP).unwrap();
-    let mut sim = Simulation::new(cfg, RlsPolicy::new(RlsRule::paper())).unwrap();
+    let mut sim = Simulation::new(cfg, RlsRule::paper()).unwrap();
     let mut rng = rng_from_seed(1);
     for _ in 0..2000 {
         sim.step(&mut rng);
@@ -36,7 +36,7 @@ fn event_budgeted_run_works_past_the_cap() {
     let per_bin = PAST_CAP / n as u64 + 1;
     let cfg = Config::uniform(n, per_bin).unwrap();
     assert!(cfg.m() > u32::MAX as u64);
-    let mut sim = Simulation::new(cfg, RlsPolicy::new(RlsRule::paper())).unwrap();
+    let mut sim = Simulation::new(cfg, RlsRule::paper()).unwrap();
     let outcome = sim.run(
         &mut rng_from_seed(2),
         StopWhen::perfectly_balanced().with_max_activations(500),

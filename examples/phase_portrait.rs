@@ -11,7 +11,7 @@ use rls_analysis::bounds::{phase1_time_bound, phase2_time_bound, phase3_time_bou
 use rls_core::{Config, RlsRule};
 use rls_rng::rng_from_seed;
 use rls_sim::observer::{PhaseTracker, TimeSeries};
-use rls_sim::{NoAdversary, RlsPolicy, Simulation, StopWhen};
+use rls_sim::{NoAdversary, Simulation, StopWhen};
 
 fn main() {
     let n = 256;
@@ -19,7 +19,7 @@ fn main() {
     let initial = Config::all_in_one_bin(n, m).expect("valid sizes");
     let ln_n = (n as f64).ln();
 
-    let mut sim = Simulation::new(initial, RlsPolicy::new(RlsRule::paper())).expect("m >= 1");
+    let mut sim = Simulation::new(initial, RlsRule::paper()).expect("m >= 1");
     let mut observers = (
         TimeSeries::new(0.25),
         PhaseTracker::new(vec![8.0 * ln_n, 1.0, 0.999]),

@@ -9,7 +9,7 @@
 use rls_analysis::bounds::TheoremOneBound;
 use rls_core::{Config, RlsRule};
 use rls_rng::rng_from_seed;
-use rls_sim::{MoveCounter, NoAdversary, RlsPolicy, Simulation, StopWhen};
+use rls_sim::{MoveCounter, NoAdversary, Simulation, StopWhen};
 
 fn main() {
     // A system of n = 64 bins and m = 1024 balls, all starting in bin 0 —
@@ -21,7 +21,7 @@ fn main() {
 
     // The paper's protocol: on activation, sample a random bin and move
     // there iff it is strictly less loaded.
-    let mut sim = Simulation::new(initial, RlsPolicy::new(RlsRule::paper())).expect("m >= 1");
+    let mut sim = Simulation::new(initial, RlsRule::paper()).expect("m >= 1");
 
     // Run until perfect balance (discrepancy < 1), counting moves.
     let mut counter = MoveCounter::new();

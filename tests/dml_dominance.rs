@@ -8,7 +8,7 @@ use rls_rng::{StreamFactory, StreamId};
 use rls_sim::adversary::RandomDestructiveAdversary;
 use rls_sim::coupling::{CouplingMode, DmlExperiment};
 use rls_sim::stats::dominance_report;
-use rls_sim::{RlsPolicy, Simulation, StopWhen};
+use rls_sim::{Simulation, StopWhen};
 use rls_workloads::Workload;
 
 #[test]
@@ -48,12 +48,12 @@ fn balancing_time_with_budgeted_adversary_dominates_plain_time() {
     let mut adv_times = Vec::new();
     for trial in 0..trials {
         let cfg = Config::all_in_one_bin(n, m).unwrap();
-        let mut sim = Simulation::new(cfg, RlsPolicy::new(RlsRule::paper())).unwrap();
+        let mut sim = Simulation::new(cfg, RlsRule::paper()).unwrap();
         let mut rng = factory.rng(StreamId::trial(trial).with_component(0));
         plain_times.push(sim.run(&mut rng, StopWhen::perfectly_balanced()).time);
 
         let cfg = Config::all_in_one_bin(n, m).unwrap();
-        let mut sim = Simulation::new(cfg, RlsPolicy::new(RlsRule::paper())).unwrap();
+        let mut sim = Simulation::new(cfg, RlsRule::paper()).unwrap();
         let mut rng = factory.rng(StreamId::trial(trial).with_component(0));
         let adversary_rng = factory.rng(StreamId::trial(trial).with_component(1));
         let mut adversary = RandomDestructiveAdversary::new(1, 1.0, Some(20));
@@ -85,12 +85,11 @@ fn adversary_with_zero_budget_changes_nothing() {
         .unwrap();
     let factory = StreamFactory::new(3);
     for trial in 0..5u64 {
-        let mut plain = Simulation::new(initial.clone(), RlsPolicy::new(RlsRule::paper())).unwrap();
+        let mut plain = Simulation::new(initial.clone(), RlsRule::paper()).unwrap();
         let mut rng = factory.rng(StreamId::trial(trial));
         let t_plain = plain.run(&mut rng, StopWhen::perfectly_balanced()).time;
 
-        let mut with_adv =
-            Simulation::new(initial.clone(), RlsPolicy::new(RlsRule::paper())).unwrap();
+        let mut with_adv = Simulation::new(initial.clone(), RlsRule::paper()).unwrap();
         let mut rng = factory.rng(StreamId::trial(trial));
         let mut adversary = RandomDestructiveAdversary::new(4, 1.0, Some(0));
         let t_adv = with_adv

@@ -4,7 +4,7 @@
 use rls_cli::{run_experiment, ExperimentId, Scale};
 use rls_core::{Config, RlsRule};
 use rls_rng::rng_from_seed;
-use rls_sim::{MonteCarlo, RlsPolicy, Simulation, StopWhen};
+use rls_sim::{MonteCarlo, Simulation, StopWhen};
 use rls_workloads::Workload;
 
 /// Every workload can be balanced by the RLS engine end-to-end.
@@ -26,7 +26,7 @@ fn every_workload_balances_under_rls() {
     {
         let mut rng = rng_from_seed(1000 + i as u64);
         let initial = workload.generate(n, m, &mut rng).unwrap();
-        let mut sim = Simulation::new(initial, RlsPolicy::new(RlsRule::paper())).unwrap();
+        let mut sim = Simulation::new(initial, RlsRule::paper()).unwrap();
         let outcome = sim.run(&mut rng, StopWhen::perfectly_balanced());
         assert!(outcome.reached_goal, "{workload:?} failed to balance");
         assert!(sim.config().is_perfectly_balanced());
@@ -43,7 +43,7 @@ fn monte_carlo_replay_is_bit_for_bit() {
         MonteCarlo::new(10, 777).with_threads(threads).run(
             &initial,
             StopWhen::perfectly_balanced(),
-            |_| RlsPolicy::new(RlsRule::paper()),
+            RlsRule::paper(),
         )
     };
     let a = run(1);

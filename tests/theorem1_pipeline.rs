@@ -6,7 +6,7 @@ use rls_analysis::bounds::TheoremOneBound;
 use rls_analysis::{lower_bound_all_in_one_bin, lower_bound_one_over_one_under};
 use rls_core::RlsRule;
 use rls_sim::stats::log_log_fit;
-use rls_sim::{MonteCarlo, RlsPolicy, StopWhen};
+use rls_sim::{MonteCarlo, StopWhen};
 use rls_workloads::Workload;
 
 fn mean_balancing_time(n: usize, m: u64, trials: usize, seed: u64, workload: Workload) -> f64 {
@@ -16,9 +16,7 @@ fn mean_balancing_time(n: usize, m: u64, trials: usize, seed: u64, workload: Wor
     MonteCarlo::new(trials, seed)
         .with_salt(n as u64 ^ m)
         .parallel()
-        .run(&initial, StopWhen::perfectly_balanced(), |_| {
-            RlsPolicy::new(RlsRule::paper())
-        })
+        .run(&initial, StopWhen::perfectly_balanced(), RlsRule::paper())
         .time
         .mean
 }
@@ -103,12 +101,11 @@ fn no_heavy_tail_beyond_the_whp_bound() {
     let initial = Workload::AllInOneBin
         .generate(n, m, &mut rls_rng::rng_from_seed(46))
         .unwrap();
-    let report =
-        MonteCarlo::new(40, 46)
-            .parallel()
-            .run(&initial, StopWhen::perfectly_balanced(), |_| {
-                RlsPolicy::new(RlsRule::paper())
-            });
+    let report = MonteCarlo::new(40, 46).parallel().run(
+        &initial,
+        StopWhen::perfectly_balanced(),
+        RlsRule::paper(),
+    );
     let whp = TheoremOneBound::new(n, m).whp_shape();
     assert!(
         report.time.max <= 3.0 * whp,
