@@ -1,20 +1,21 @@
-//! Fenwick-indexed load vector: exchangeable-ball sampling in O(log n).
+//! Cache-line-wide load index: exchangeable-ball sampling in a few line
+//! reads.
 //!
 //! The paper's process only ever needs *a uniformly random ball* — and
 //! balls are exchangeable, so the law of the process depends on the load
 //! vector alone.  Picking a uniform ball is therefore the same thing as
-//! picking a **bin with probability `ℓ_i / m`**, which a Fenwick tree
-//! (binary indexed tree) over the loads answers in `O(log n)` time and
-//! `O(n)` memory: draw a uniform rank `r ∈ [0, m)` and descend to the
-//! first bin whose cumulative load exceeds `r`.
+//! picking a **bin with probability `ℓ_i / m`**: draw a uniform rank
+//! `r ∈ [0, m)` and find the first bin whose cumulative load exceeds `r`.
+//! [`LoadIndex`] answers that query with an 8-ary prefix-sum tree whose
+//! nodes are single 64-byte cache lines.
 //!
 //! This replaces the engines' historical `balls: Vec<u32>` map (4 bytes
 //! *per ball*, hard-capped at `u32::MAX` balls) with a structure whose
 //! size is independent of `m`: a billion-ball instance costs the same
 //! memory as a thousand-ball one.  The tree is maintained incrementally —
-//! `±1` per endpoint of every move, arrival or departure, mirroring the
-//! [`LoadTracker`](crate::LoadTracker) hooks — so the engines never pay an
-//! `O(n)` rebuild on the hot path.
+//! one point update per endpoint of every move, arrival or departure,
+//! mirroring the [`LoadTracker`](crate::LoadTracker) hooks — so the engines
+//! never pay an `O(n)` rebuild on the hot path.
 //!
 //! The index is deliberately RNG-free (this crate is purely combinatorial):
 //! callers draw the rank themselves and ask [`bin_at`](LoadIndex::bin_at)
@@ -22,11 +23,50 @@
 
 use crate::Config;
 
-/// A Fenwick (binary indexed) tree over the `n` bin loads.
+/// Children per node: one node is one line of `FANOUT` `u64`s.
+const FANOUT: usize = 8;
+
+/// `SUFFIX_MASKS[j]` selects slots `j..FANOUT`: the inclusive prefixes
+/// that a change to child `j` shifts.  A table load keeps the masked adds
+/// branch-free and lets them vectorize.
+const SUFFIX_MASKS: [[u64; FANOUT]; FANOUT] = {
+    let mut masks = [[0u64; FANOUT]; FANOUT];
+    let mut j = 0;
+    while j < FANOUT {
+        let mut s = j;
+        while s < FANOUT {
+            masks[j][s] = u64::MAX;
+            s += 1;
+        }
+        j += 1;
+    }
+    masks
+};
+
+/// One tree node, aligned so that it never straddles two cache lines.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[repr(align(64))]
+struct Line([u64; FANOUT]);
+
+/// An 8-ary prefix-sum tree over the `n` bin loads.
 ///
-/// Supports `O(log n)` rank queries (`bin_at`), prefix sums and point
-/// updates, with the total load kept alongside so sampling needs no extra
-/// traversal.
+/// **Layout.**  The leaves are lines of 8 raw `u64` masses, bin `b` in slot
+/// `b % 8` of line `b / 8`, so [`load`](Self::load) is one read.  Above
+/// them, each inner level keeps one line per 8 lines of the level below,
+/// holding the *inclusive* prefix sums of those children's masses; the top
+/// level is a single line.  Slots past the last child repeat the line's
+/// total, so a descent can never step into them.
+///
+/// **Cost model.**  A rank descent ([`bin_at`](Self::bin_at)) reads one
+/// line per level: at each inner line a branch-free binary search over the
+/// sorted prefixes counts those `≤ rank` in three compares, the prefix
+/// below that child is subtracted, and the descent goes down; at the leaf
+/// a branch-free running sum finds the bin.  That is
+/// `1 + ⌈log₈ ⌈capacity / 8⌉⌉` lines — 4 at n = 4096, 7 at n = 2²⁰ —
+/// against `log₂ n + 1` strictly serial steps for a binary Fenwick tree.
+/// A point update adds the delta to the leaf slot and, with masked adds,
+/// to the slots at and after the child's position in one line per level.
+/// The inner levels cost about a seventh of the leaf array.
 ///
 /// ```
 /// use rls_core::{Config, LoadIndex, Move};
@@ -47,16 +87,17 @@ use crate::Config;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoadIndex {
-    /// 1-based Fenwick array over `capacity` slots; `tree[i]` covers
-    /// `lowbit(i)` bins ending at bin `i − 1`.  Slots `len..capacity` are
-    /// spare: they carry zero mass and are invisible to rank descent.
-    tree: Vec<u64>,
+    /// Raw per-bin masses, 8 bins per line (`⌈capacity / 8⌉` lines).
+    /// Slots `len..` are spare: they carry zero mass and are invisible to
+    /// rank descent.
+    leaves: Vec<Line>,
+    /// Inner levels, top (a single line) first; empty when one leaf line
+    /// holds every bin.
+    inner: Vec<Vec<Line>>,
     /// Number of allocated bins (`≤ capacity`); bin ids are `0..len`.
     len: usize,
-    /// Starting stride of the descent.  Capacity is kept a power of two,
-    /// so this always equals `capacity` and the root node covers the whole
-    /// prefix (which is what lets the descent drop its bounds checks).
-    top: usize,
+    /// Allocated bin slots, kept a power of two by doubling.
+    capacity: usize,
     /// Total load `m = Σ ℓ_i` (`u64` end to end — no `u32` ball cap).
     total: u64,
     /// How many O(capacity) rebuilds [`add_bin`](Self::add_bin) has paid.
@@ -79,17 +120,20 @@ impl LoadIndex {
     pub fn from_loads(loads: &[u64]) -> Self {
         let n = loads.len();
         assert!(n > 0, "LoadIndex requires at least one bin");
-        // Capacity is kept a power of two (padding slots carry zero mass
-        // and are invisible to rank descent): the root then covers the
-        // whole prefix, so `bin_at_depth` needs no per-level bounds check
-        // and its inner loop is branch-free.  `add_bin` preserves the
-        // invariant by doubling.
-        let cap = n.next_power_of_two();
-        let (tree, top, total) = build_tree(loads, cap);
+        let total = loads
+            .iter()
+            .try_fold(0u64, |acc, &l| acc.checked_add(l))
+            .expect("total load fits in u64");
+        let capacity = n.next_power_of_two();
+        let mut leaves = vec![Line::default(); capacity.div_ceil(FANOUT)];
+        for (line, chunk) in leaves.iter_mut().zip(loads.chunks(FANOUT)) {
+            line.0[..chunk.len()].copy_from_slice(chunk);
+        }
         Self {
-            tree,
+            inner: build_inner(&leaves),
+            leaves,
             len: n,
-            top,
+            capacity,
             total,
             rebuilds: 0,
         }
@@ -102,11 +146,11 @@ impl LoadIndex {
         self.len
     }
 
-    /// Allocated tree capacity (`≥ n`); grows by doubling in
-    /// [`add_bin`](Self::add_bin).
+    /// Allocated bin capacity (`≥ n`, a power of two); grows by doubling
+    /// in [`add_bin`](Self::add_bin).
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.tree.len() - 1
+        self.capacity
     }
 
     /// How many capacity-doubling rebuilds this index has performed.
@@ -116,21 +160,19 @@ impl LoadIndex {
     }
 
     /// Allocate a fresh bin id at the end of the index, seeded with `mass`,
-    /// and return it.  Amortized O(log n): when `len == capacity` the tree
-    /// is rebuilt at double capacity (O(capacity), counted in
+    /// and return it.  Amortized O(log n): when `len == capacity` the
+    /// inner levels are rebuilt at double capacity (O(capacity), counted in
     /// [`rebuilds`](Self::rebuilds)); otherwise the spare slot is claimed
     /// with one point update.
     ///
     /// # Panics
     /// Panics if the total would overflow `u64`.
     pub fn add_bin(&mut self, mass: u64) -> usize {
-        if self.len == self.capacity() {
-            let mut loads: Vec<u64> = (0..self.len).map(|i| self.load(i)).collect();
-            let cap = self.capacity() * 2;
-            loads.resize(cap, 0);
-            let (tree, top, _) = build_tree(&loads, cap);
-            self.tree = tree;
-            self.top = top;
+        if self.len == self.capacity {
+            self.capacity *= 2;
+            let lines = self.capacity.div_ceil(FANOUT);
+            self.leaves.resize(lines, Line::default());
+            self.inner = build_inner(&self.leaves);
             self.rebuilds += 1;
         }
         let bin = self.len;
@@ -161,21 +203,35 @@ impl LoadIndex {
         self.total
     }
 
-    /// Sum of the loads of bins `0..bin` (`bin` may equal `n`).
+    /// Sum of the loads of bins `0..bin` (`bin` may equal `n`): the leaf
+    /// slots before `bin` plus, per inner level, the prefix below `bin`'s
+    /// ancestor.
     pub fn prefix(&self, bin: usize) -> u64 {
         debug_assert!(bin <= self.n());
-        let mut i = bin;
-        let mut sum = 0u64;
-        while i > 0 {
-            sum += self.tree[i];
-            i -= lowbit(i);
+        if bin == FANOUT * self.leaves.len() {
+            // `bin == n == capacity`: there is no leaf line past the last.
+            return self.total;
+        }
+        let mut k = bin / FANOUT;
+        let mut sum: u64 = self.leaves[k].0[..bin % FANOUT].iter().sum();
+        for level in self.inner.iter().rev() {
+            let j = k % FANOUT;
+            k /= FANOUT;
+            if j > 0 {
+                sum += level[k].0[j - 1];
+            }
         }
         sum
     }
 
-    /// Load of a single bin, recovered from the tree in `O(log n)`.
+    /// Load of a single bin: one leaf read.
+    ///
+    /// # Panics
+    /// Panics if `bin` is out of range.
+    #[inline]
     pub fn load(&self, bin: usize) -> u64 {
-        self.prefix(bin + 1) - self.prefix(bin)
+        assert!(bin < self.n(), "bin {bin} outside 0..{}", self.n());
+        self.leaves[bin / FANOUT].0[bin % FANOUT]
     }
 
     /// The bin holding the ball of rank `rank` when balls are laid out bin
@@ -188,15 +244,16 @@ impl LoadIndex {
     /// # Panics
     /// Panics if `rank >= total` (in particular whenever the index is
     /// empty).
+    #[inline]
     pub fn bin_at(&self, rank: u64) -> usize {
         self.bin_at_depth(rank).0
     }
 
-    /// Like [`bin_at`](Self::bin_at), but also reports how many tree
-    /// nodes the descent inspected — the telemetry layer's "Fenwick
-    /// descent depth" metric.  `bin_at` is a thin wrapper, so the
-    /// selection arithmetic is bit-identical whether or not the caller
-    /// keeps the depth.
+    /// Like [`bin_at`](Self::bin_at), but also reports how many index
+    /// lines the descent read — the telemetry layer's "descent depth"
+    /// metric, a constant for a given capacity.  `bin_at` is a thin
+    /// wrapper, so the selection arithmetic is bit-identical whether or
+    /// not the caller keeps the depth.
     ///
     /// # Panics
     /// Panics if `rank >= total` (in particular whenever the index is
@@ -207,39 +264,36 @@ impl LoadIndex {
             "rank {rank} out of range (total {})",
             self.total
         );
-        // Capacity is a power of two (`from_loads` pads, `add_bin`
-        // doubles), so `top == capacity` and the root node aggregates the
-        // *entire* prefix: `tree[top] == total > rank` means the root
-        // child is never taken, which in turn bounds `pos + step <= top`
-        // at every level — no per-level range check needed.
-        let cap = self.capacity();
-        debug_assert_eq!(self.top, cap, "capacity is kept a power of two");
-        let mut pos = 0usize;
-        let mut step = self.top;
-        let mut depth = 0u32;
-        while step > 0 {
-            let next = pos + step;
-            let node = self.tree[next];
-            // Warm both nodes the next level can touch before the select
-            // below resolves: their addresses depend only on `pos`/`step`
-            // (not on the compare), so these loads overlap the serial
-            // descent chain — a safe-code software prefetch.  The clamp
-            // keeps the speculative index in bounds at the root.
-            let half = step >> 1;
-            if half > 0 {
-                std::hint::black_box(self.tree[pos + half]);
-                std::hint::black_box(self.tree[(next + half).min(cap)]);
+        // Invariant: `rank` is below the mass under `node`.  At the top
+        // that mass is `total`; a line's slots past its last child repeat
+        // its total, so the count of prefixes `≤ rank` always names a real
+        // child and the invariant carries down.
+        let mut node = 0usize;
+        for level in &self.inner {
+            let line = &level[node].0;
+            // The prefixes are sorted, so a branch-free binary search
+            // counts those `≤ rank` in log₂ 8 = 3 compares, keeping the
+            // last prefix it stepped over: the mass below child `idx`.
+            let mut idx = 0usize;
+            let mut below = 0u64;
+            let mut half = FANOUT / 2;
+            while half > 0 {
+                let prefix = line[idx + half - 1];
+                let take = prefix <= rank;
+                idx += half & usize::from(take).wrapping_neg();
+                below = if take { prefix } else { below };
+                half /= 2;
             }
-            // Branch-free child select: mask arithmetic instead of a
-            // data-dependent branch, so an unpredictable rank costs no
-            // pipeline flush on the hot sampling path.
-            let take = (node <= rank) as u64;
-            rank -= node & take.wrapping_neg();
-            pos += step & (take as usize).wrapping_neg();
-            step >>= 1;
-            depth += 1;
+            rank -= below;
+            node = node * FANOUT + idx;
         }
-        (pos, depth)
+        let mut idx = 0usize;
+        let mut acc = 0u64;
+        for &mass in &self.leaves[node].0 {
+            acc += mass;
+            idx += usize::from(acc <= rank);
+        }
+        (node * FANOUT + idx, self.inner.len() as u32 + 1)
     }
 
     /// Add one ball to `bin`.
@@ -277,12 +331,7 @@ impl LoadIndex {
             .total
             .checked_add(delta)
             .expect("total load fits in u64");
-        let cap = self.capacity();
-        let mut i = bin + 1;
-        while i <= cap {
-            self.tree[i] += delta;
-            i += lowbit(i);
-        }
+        self.update(bin, delta);
     }
 
     /// Remove an arbitrary mass `delta` from `bin` — the weighted
@@ -301,11 +350,23 @@ impl LoadIndex {
             "cannot remove a ball from an empty bin"
         );
         self.total -= delta;
-        let cap = self.capacity();
-        let mut i = bin + 1;
-        while i <= cap {
-            self.tree[i] -= delta;
-            i += lowbit(i);
+        self.update(bin, delta.wrapping_neg());
+    }
+
+    /// Add `delta` (two's complement, so a subtraction is the negated
+    /// mass) to `bin`'s leaf slot and to the slots at and after its
+    /// ancestor's position in one line per inner level.
+    #[inline]
+    fn update(&mut self, bin: usize, delta: u64) {
+        let mut k = bin / FANOUT;
+        let slot = &mut self.leaves[k].0[bin % FANOUT];
+        *slot = slot.wrapping_add(delta);
+        for level in self.inner.iter_mut().rev() {
+            let j = k % FANOUT;
+            k /= FANOUT;
+            for (prefix, mask) in level[k].0.iter_mut().zip(&SUFFIX_MASKS[j]) {
+                *prefix = prefix.wrapping_add(delta & mask);
+            }
         }
     }
 
@@ -333,43 +394,47 @@ impl LoadIndex {
         self.decrement(bin);
     }
 
-    /// Verify the index against a configuration (test/debug helper).
+    /// Verify the index against a configuration (test/debug helper,
+    /// `O(n)`): the leaves against the loads, and every inner level
+    /// against a rebuild from the leaves.
     pub fn matches(&self, cfg: &Config) -> bool {
         self.n() == cfg.n()
             && self.total == cfg.m()
             && (0..cfg.n()).all(|i| self.load(i) == cfg.load(i))
+            && self.inner == build_inner(&self.leaves)
     }
 }
 
-#[inline]
-fn lowbit(i: usize) -> usize {
-    i & i.wrapping_neg()
+/// The inner levels over `leaves`, top first (none over a single leaf
+/// line).  The masses sum to at most the (checked) total, so no prefix
+/// overflows.
+fn build_inner(leaves: &[Line]) -> Vec<Vec<Line>> {
+    let mut levels = Vec::new();
+    if leaves.len() > 1 {
+        levels.push(parent_level(leaves, |leaf| leaf.0.iter().sum()));
+    }
+    while let Some(top) = levels.last().filter(|top| top.len() > 1) {
+        levels.push(parent_level(top, |line| line.0[FANOUT - 1]));
+    }
+    levels.reverse();
+    levels
 }
 
-/// O(cap) Fenwick construction over `loads` padded to `cap` slots.
-fn build_tree(loads: &[u64], cap: usize) -> (Vec<u64>, usize, u64) {
-    debug_assert!(loads.len() <= cap);
-    let mut tree = vec![0u64; cap + 1];
-    let mut total = 0u64;
-    for i in 0..cap {
-        // Propagation must visit every slot (not just the populated
-        // prefix): interior nodes past `loads.len()` still aggregate
-        // earlier children.
-        let l = loads.get(i).copied().unwrap_or(0);
-        tree[i + 1] = tree[i + 1].checked_add(l).expect("total load fits in u64");
-        total = total.checked_add(l).expect("total load fits in u64");
-        let parent = (i + 1) + lowbit(i + 1);
-        if parent <= cap {
-            tree[parent] = tree[parent]
-                .checked_add(tree[i + 1])
-                .expect("total load fits in u64");
-        }
-    }
-    let mut top = 1usize;
-    while top * 2 <= cap {
-        top *= 2;
-    }
-    (tree, top, total)
+/// One line per `FANOUT` children, holding the inclusive prefix sums of
+/// their masses; slots past the last child repeat the line's total.
+fn parent_level(children: &[Line], mass: impl Fn(&Line) -> u64) -> Vec<Line> {
+    children
+        .chunks(FANOUT)
+        .map(|group| {
+            let mut line = Line::default();
+            let mut acc = 0u64;
+            for (s, prefix) in line.0.iter_mut().enumerate() {
+                acc += group.get(s).map_or(0, &mass);
+                *prefix = acc;
+            }
+            line
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -537,6 +602,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "empty bin")]
     fn sub_past_the_bin_mass_panics_in_debug() {
         let mut idx = LoadIndex::from_loads(&[3, 1]);
@@ -567,6 +633,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "empty bin")]
     fn decrement_on_empty_bin_panics_in_debug() {
         let mut idx = LoadIndex::from_loads(&[1, 0]);
@@ -625,6 +692,69 @@ mod tests {
         assert_eq!(idx.total(), 1024);
         for rank in (0..1024).step_by(97) {
             assert_eq!(idx.bin_at(rank), rank as usize);
+        }
+    }
+
+    /// `bin_at`, `prefix` and `load` against a linear scan.
+    fn assert_agrees_with_scan(idx: &LoadIndex, loads: &[u64]) {
+        assert_eq!(idx.n(), loads.len());
+        assert_eq!(idx.total(), loads.iter().sum::<u64>());
+        let mut acc = 0u64;
+        for (b, &l) in loads.iter().enumerate() {
+            assert_eq!(idx.load(b), l, "load of bin {b}");
+            assert_eq!(idx.prefix(b), acc, "prefix of bin {b}");
+            acc += l;
+        }
+        assert_eq!(idx.prefix(loads.len()), acc);
+        for rank in 0..acc {
+            assert_eq!(idx.bin_at(rank), cumulative_bin(loads, rank), "rank {rank}");
+        }
+    }
+
+    #[test]
+    fn fan_out_boundary_sizes_agree_with_the_scan() {
+        for n in [1usize, 7, 8, 9, 63, 64, 65, 511, 512, 513, 4097] {
+            // Every third bin empty, so descents must skip zero-mass
+            // children at every level.
+            let loads: Vec<u64> = (0..n as u64)
+                .map(|b| (b * 7 + 3) % 5 * u64::from(b % 3 != 1))
+                .collect();
+            let idx = LoadIndex::from_loads(&loads);
+            assert_agrees_with_scan(&idx, &loads);
+            // The depth is the constant line count: 1 up to 8 bins, one
+            // more per factor of 8 in the capacity beyond that.
+            let depth = idx.bin_at_depth(0).1;
+            let expect = match idx.capacity() {
+                1..=8 => 1,
+                9..=64 => 2,
+                65..=512 => 3,
+                513..=4096 => 4,
+                _ => 5,
+            };
+            assert_eq!(depth, expect, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn growth_that_adds_an_inner_level_keeps_sampling_exact() {
+        // 8 → 16 adds the first inner level; 64 → 128 adds the second.
+        for n in [8usize, 64] {
+            let mut loads: Vec<u64> = (0..n as u64).map(|b| b % 4).collect();
+            let mut idx = LoadIndex::from_loads(&loads);
+            assert_eq!(idx.capacity(), n);
+            let before = idx.bin_at_depth(0).1;
+            assert_eq!(idx.add_bin(3), n);
+            loads.push(3);
+            assert_eq!(idx.capacity(), 2 * n);
+            assert_eq!(idx.rebuilds(), 1);
+            assert_eq!(idx.bin_at_depth(0).1, before + 1, "n = {n}");
+            assert_agrees_with_scan(&idx, &loads);
+            // Updates after the rebuild reach the new level too.
+            idx.add(n, 5);
+            idx.sub(0, loads[0]);
+            loads[n] += 5;
+            loads[0] = 0;
+            assert_agrees_with_scan(&idx, &loads);
         }
     }
 

@@ -30,9 +30,9 @@
 //! 3. applies its pair rule ([`permits_loads`](RebalancePolicy::permits_loads))
 //!    to decide whether the ball moves there.
 //!
-//! Every step is `O(d · cost(sample) + d · cost(load))`, i.e. `O(log n)`
-//! for the engines (both the Fenwick [`LoadIndex`](crate::LoadIndex) and a
-//! raw load vector answer a load query in at most `O(log n)`).
+//! Every step is `O(d · cost(sample) + d · cost(load))`, i.e. `O(d)` for
+//! the engines (both the [`LoadIndex`](crate::LoadIndex) leaves and a raw
+//! load vector answer a load query with one read).
 
 use serde::{Deserialize, Serialize};
 

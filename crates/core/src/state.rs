@@ -1,7 +1,7 @@
 //! [`LoadState`]: the one place a ball moves.
 //!
 //! Every engine keeps the same books in lock-step: the load vector
-//! ([`Config`]), its `O(1)` summary ([`LoadTracker`]), the Fenwick index
+//! ([`Config`]), its `O(1)` summary ([`LoadTracker`]), the prefix-sum index
 //! that samples a uniform ball ([`LoadIndex`]) and, on heterogeneous
 //! instances, the [`HeteroBooks`].  `LoadState` owns them all and changes
 //! them only through [`move_ball`](LoadState::move_ball),
@@ -31,11 +31,9 @@ pub struct HeteroBooks {
     pub speeds: Vec<u64>,
     /// `Σ s_i` over live bins.
     pub total_speed: u64,
-    /// Per-bin total ball weight (mirror of `weight_index` for O(1) reads).
-    pub weights: Vec<u64>,
-    /// Fenwick tree over per-bin total weight.
+    /// Index over per-bin total ball weight (one read per bin weight).
     pub weight_index: LoadIndex,
-    /// Fenwick tree over per-bin rate mass `s_i·ℓ_i`.
+    /// Index over per-bin rate mass `s_i·ℓ_i`.
     pub rate_index: LoadIndex,
     /// Per-ball weights, bin by bin; `None` when every ball weighs `1`.
     pub balls: Option<Vec<Vec<u64>>>,
@@ -98,7 +96,7 @@ impl LoadState {
 
     /// Attach heterogeneity books: `speeds[i] ≥ 1` per bin, and per-ball
     /// weights (`balls[i]` holds exactly `load(i)` positive weights) or
-    /// `None` for unit balls.  The weight and rate Fenwick trees are built
+    /// `None` for unit balls.  The weight and rate indexes are built
     /// from the current loads.
     pub fn attach_hetero(
         &mut self,
@@ -152,7 +150,6 @@ impl LoadState {
             total_speed,
             weight_index: LoadIndex::from_loads(&weights),
             rate_index: LoadIndex::from_loads(&rates),
-            weights,
             balls,
         }));
         Ok(())
@@ -170,7 +167,7 @@ impl LoadState {
         &self.tracker
     }
 
-    /// The Fenwick index over the loads (uniform-ball sampling).
+    /// The prefix-sum index over the loads (uniform-ball sampling).
     #[inline]
     pub fn index(&self) -> &LoadIndex {
         &self.index
@@ -227,8 +224,6 @@ impl LoadState {
             }
             None => 1,
         };
-        h.weights[from] -= weight;
-        h.weights[to] += weight;
         h.weight_index.sub(from, weight);
         h.weight_index.add(to, weight);
         h.rate_index.sub(from, h.speeds[from]);
@@ -249,7 +244,6 @@ impl LoadState {
         self.tracker.record_insert(old);
         self.index.record_insert(bin);
         if let Some(h) = &mut self.hetero {
-            h.weights[bin] += weight;
             h.weight_index.add(bin, weight);
             h.rate_index.add(bin, h.speeds[bin]);
             if let Some(balls) = &mut h.balls {
@@ -278,7 +272,6 @@ impl LoadState {
             }
             None => 1,
         };
-        h.weights[bin] -= weight;
         h.weight_index.sub(bin, weight);
         h.rate_index.sub(bin, h.speeds[bin]);
         Ok(weight)
@@ -296,7 +289,6 @@ impl LoadState {
         if let Some(h) = &mut self.hetero {
             h.speeds.push(1);
             h.total_speed += 1;
-            h.weights.push(0);
             h.weight_index.add_bin(0);
             h.rate_index.add_bin(0);
             if let Some(balls) = &mut h.balls {
@@ -344,21 +336,21 @@ impl LoadState {
         let Some(h) = &self.hetero else {
             return books;
         };
+        let rebuilt = |index: &LoadIndex, mass: Vec<u64>| {
+            Config::from_loads(mass).is_ok_and(|c| index.matches(&c))
+        };
+        let weights = (0..n).map(|b| match &h.balls {
+            Some(balls) => balls[b].iter().sum(),
+            None => self.cfg.load(b),
+        });
+        let rates = (0..n).map(|b| h.speeds[b] * self.cfg.load(b));
         books
             && (0..n).filter(live).map(|b| h.speeds[b]).sum::<u64>() == h.total_speed
-            && (0..n).all(|b| {
-                let load = self.cfg.load(b);
-                let by_balls = match &h.balls {
-                    Some(balls) => {
-                        balls[b].len() as u64 == load
-                            && balls[b].iter().sum::<u64>() == h.weights[b]
-                    }
-                    None => h.weights[b] == load,
-                };
-                by_balls
-                    && h.weight_index.load(b) == h.weights[b]
-                    && h.rate_index.load(b) == h.speeds[b] * load
-            })
+            && h.balls
+                .as_ref()
+                .is_none_or(|balls| (0..n).all(|b| balls[b].len() as u64 == self.cfg.load(b)))
+            && rebuilt(&h.weight_index, weights.collect())
+            && rebuilt(&h.rate_index, rates.collect())
     }
 
     #[inline]

@@ -521,6 +521,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "empty bin")]
     fn removing_from_empty_bin_panics_in_debug() {
         let cfg = Config::from_loads(vec![1, 0]).unwrap();
@@ -529,6 +530,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "empty bin")]
     fn moving_from_empty_bin_panics_in_debug() {
         let cfg = Config::from_loads(vec![1, 0]).unwrap();

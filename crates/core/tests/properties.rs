@@ -196,7 +196,7 @@ proptest! {
         }
     }
 
-    /// The Fenwick load index tracks the same interleavings: every rank
+    /// The load index tracks the same interleavings: every rank
     /// maps to the bin a cumulative scan would give, and point updates
     /// agree with the configuration.
     #[test]
@@ -248,6 +248,59 @@ proptest! {
         }
     }
 
+    /// Elastic churn at u64 scale: `add`, `sub`, `add_bin` and
+    /// `retire_bin` interleave with masses near 2⁵⁴, and after every step
+    /// each `prefix` and `load` equals a brute-force rebuild's.
+    #[test]
+    fn u64_scale_churn_agrees_with_a_rebuild(
+        loads in prop::collection::vec(0u64..=1 << 54, 1..=20),
+        ops in prop::collection::vec((0u8..4, 0u64..=1 << 54, 0usize..200), 0..80),
+    ) {
+        let mut loads = loads;
+        let mut index = LoadIndex::from_loads(&loads);
+        for (kind, mass, pick) in ops {
+            let bin = pick % loads.len();
+            match kind {
+                0 => {
+                    index.add(bin, mass);
+                    loads[bin] += mass;
+                }
+                1 => {
+                    let delta = mass.min(loads[bin]);
+                    index.sub(bin, delta);
+                    loads[bin] -= delta;
+                }
+                2 => {
+                    prop_assert_eq!(index.add_bin(mass), loads.len());
+                    loads.push(mass);
+                }
+                _ => {
+                    prop_assert_eq!(index.retire_bin(bin), loads[bin]);
+                    loads[bin] = 0;
+                }
+            }
+            let fresh = LoadIndex::from_loads(&loads);
+            prop_assert_eq!(index.total(), fresh.total());
+            for (b, &load) in loads.iter().enumerate() {
+                prop_assert_eq!(index.load(b), load);
+                prop_assert_eq!(index.prefix(b), fresh.prefix(b));
+            }
+            prop_assert_eq!(index.prefix(loads.len()), index.total());
+        }
+        let cfg = Config::from_loads(loads.clone()).unwrap();
+        prop_assert!(index.matches(&cfg));
+        // Ranks on both sides of every bin boundary land where the
+        // rebuild puts them.
+        let mut acc = 0u64;
+        for (b, &l) in loads.iter().enumerate() {
+            if l > 0 {
+                prop_assert_eq!(index.bin_at(acc), b);
+                prop_assert_eq!(index.bin_at(acc + l - 1), b);
+            }
+            acc += l;
+        }
+    }
+
     /// Overloaded balls equal holes whenever n divides m, and both are zero
     /// exactly on perfectly balanced configurations.
     #[test]
@@ -284,11 +337,10 @@ proptest! {
         prop_assert_eq!(sorted, original);
     }
 
-    /// The branch-free, prefetched Fenwick descent agrees with a reference
+    /// The branch-free line-per-level descent agrees with a reference
     /// cumulative scan for *every* rank, on arbitrary load vectors (zero
     /// bins, non-power-of-two lengths) and across elastic add/retire
-    /// churn — and the power-of-two capacity invariant that lets the
-    /// descent drop its per-level bounds check actually holds throughout.
+    /// churn — and the power-of-two capacity invariant holds throughout.
     #[test]
     fn branch_free_descent_matches_reference_scan(
         loads in prop::collection::vec(0u64..=12, 1..=40),
@@ -318,10 +370,16 @@ proptest! {
 
         // Reference path: a cumulative linear scan over the load vector.
         // The descent must agree bin-for-bin on every rank, and its depth
-        // must equal the (constant) number of Fenwick levels.
+        // must equal the (constant) number of lines it reads: one leaf
+        // line of 8 bins, plus one per 8-ary level above the leaves.
         let total: u64 = loads.iter().sum();
         prop_assert_eq!(index.total(), total);
-        let levels = index.capacity().trailing_zeros() + 1;
+        let mut levels = 1;
+        let mut lines = index.capacity().div_ceil(8);
+        while lines > 1 {
+            lines = lines.div_ceil(8);
+            levels += 1;
+        }
         let mut rank = 0u64;
         for (bin, &load) in loads.iter().enumerate() {
             for _ in 0..load {

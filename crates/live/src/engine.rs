@@ -18,7 +18,7 @@
 //!
 //! Because balls are exchangeable, "a uniform ball" (the departing ball,
 //! the ringing ball) is the same law as "a bin with probability `load/m`",
-//! which the Fenwick-indexed load vector ([`LoadIndex`]) answers in
+//! which the prefix-sum index over the loads ([`LoadIndex`]) answers in
 //! `O(log n)`.  The engine therefore holds `O(n)` state with no per-ball
 //! map and no `u32::MAX` ball cap: `m` is `u64` end to end.
 
@@ -143,7 +143,7 @@ pub struct LiveCounters {
 /// ```
 #[derive(Debug, Clone)]
 pub struct LiveEngine {
-    /// The load books: configuration, tracker, the Fenwick index that
+    /// The load books: configuration, tracker, the load index that
     /// samples a uniform ball (departures and rings) in O(log n), and the
     /// heterogeneity books of weighted/speed-aware engines.
     ///
@@ -275,7 +275,7 @@ impl LiveEngine {
     }
 
     /// Attach heterogeneity state to a freshly built engine, rebuilding
-    /// the weight and rate Fenwick trees from the current loads (also the
+    /// the weight and rate indexes from the current loads (also the
     /// snapshot-restore path).
     pub(crate) fn attach_hetero(
         &mut self,
@@ -418,7 +418,7 @@ impl LiveEngine {
     pub fn bin_weight(&self, bin: usize) -> u64 {
         self.state
             .hetero()
-            .map_or_else(|| self.config().load(bin), |h| h.weights[bin])
+            .map_or_else(|| self.config().load(bin), |h| h.weight_index.load(bin))
     }
 
     /// Total ball weight `W = Σ W_i` (`m` on unit engines).
@@ -451,13 +451,13 @@ impl LiveEngine {
             .map(|balls| balls[bin].as_slice())
     }
 
-    /// The Fenwick tree over per-bin total weight, when heterogeneous
+    /// The index over per-bin total weight, when heterogeneous
     /// state is attached (exposed for property tests).
     pub fn weight_index(&self) -> Option<&LoadIndex> {
         self.state.hetero().map(|h| &h.weight_index)
     }
 
-    /// The Fenwick tree over per-bin rate mass `s_i·ℓ_i`, when
+    /// The index over per-bin rate mass `s_i·ℓ_i`, when
     /// heterogeneous state is attached (exposed for property tests).
     pub fn rate_index(&self) -> Option<&LoadIndex> {
         self.state.hetero().map(|h| &h.rate_index)
@@ -688,7 +688,7 @@ impl LiveEngine {
     /// *kind* (and optionally its coordinates), while the engine samples
     /// any coordinate left open under the law the simulation would have
     /// used, advances the clock by the superposed process's holding time
-    /// `Exp(total_rate)`, and keeps the load vector, tracker, Fenwick
+    /// `Exp(total_rate)`, and keeps the load vector, tracker, load
     /// index and counters in sync — exactly like [`step`](Self::step).
     ///
     /// On error the engine is untouched and no randomness has been
@@ -992,7 +992,7 @@ impl LiveEngine {
     /// engine provably leave the total rate unchanged, so the
     /// `Exp(total_rate)` construction (a `total_rate()` walk plus
     /// validation) runs once per run of rings instead of once per ring.
-    /// Reordering or coalescing the Fenwick descents themselves would
+    /// Reordering or coalescing the index descents themselves would
     /// *not* be legal here: each ring's descent depends on every move the
     /// previous ring made, and the draw order is pinned by replay.  (The
     /// sharded engine may reuse slice-start loads, but only because its
@@ -1237,7 +1237,7 @@ impl LiveEngine {
 
     /// Admit one bin at the next fresh id, warm-starting it when asked:
     /// the newcomer steals `⌊m/live⌋` exchangeable balls (each uniform
-    /// among the balls currently outside it — one Fenwick rank draw per
+    /// among the balls currently outside it — one index rank draw per
     /// steal, rejection-resampled if the rank lands on the newcomer
     /// itself), which lands it at the post-join average.  Every resolved
     /// draw is recorded in the [`JoinRecord`], so replay is RNG-free.
@@ -1323,7 +1323,7 @@ impl LiveEngine {
 #[inline]
 fn bin_state(h: &HeteroBooks, bin: usize) -> BinState {
     BinState {
-        weight: h.weights[bin],
+        weight: h.weight_index.load(bin),
         speed: h.speeds[bin],
     }
 }
@@ -1694,7 +1694,7 @@ mod tests {
     #[test]
     fn constructs_and_steps_past_the_old_u32_ball_cap() {
         // m = u32::MAX + 256 — impossible under the old Vec<u32> ball map,
-        // O(n) memory with the Fenwick index.  Tier-1 smoke test pinning
+        // O(n) memory with the load index.  Tier-1 smoke test pinning
         // the lifted cap.
         let n = 256usize;
         let per_bin = (u32::MAX as u64 + 256) / n as u64; // 16_777_216

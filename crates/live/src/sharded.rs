@@ -18,11 +18,10 @@
 //! * the barrier applies cross-shard deliveries in deterministic
 //!   `(shard, draw)` order and publishes the new global load vector.
 //!
-//! Each shard keeps a Fenwick subtree ([`LoadIndex`]) over its own bins —
-//! per-shard subtree sums — so sampling a resident ball (departures, RLS
-//! rings) is `O(log local_n)` with `O(local_n)` memory and no per-ball
-//! state: like the sequential engines, the sharded engine has no
-//! `u32::MAX` ball cap.
+//! Each shard keeps its own prefix-sum index ([`LoadIndex`]) over its
+//! bins, so sampling a resident ball (departures, RLS rings) is
+//! `O(log local_n)` with `O(local_n)` memory and no per-ball state: like
+//! the sequential engines, the sharded engine has no `u32::MAX` ball cap.
 //!
 //! Because every random stream is keyed by `(seed, batch, shard)` and the
 //! merge order is fixed, the trajectory depends only on the seed and the
@@ -69,11 +68,10 @@ const CHURN_SALT: u64 = 0xE1A5;
 struct Shard {
     /// Global bin indices owned by this shard.
     bins: Range<usize>,
-    /// Loads of the owned bins (indexed by `global − bins.start`).
-    loads: Vec<u64>,
-    /// Fenwick subtree over the owned bins: resident-ball sampling in
-    /// O(log local_n) with no per-ball state (`index.total()` is the
-    /// shard's ball count).
+    /// Index over the owned bins (local offset `global − bins.start`):
+    /// resident-ball sampling in O(log local_n) with no per-ball state.
+    /// `index.load(offset)` is an owned bin's load and `index.total()` the
+    /// shard's ball count.
     index: LoadIndex,
     /// Local offsets of the *live* owned bins, ascending — the arrival
     /// placement support.  Identity (`0..len`) until the first scale
@@ -83,14 +81,12 @@ struct Shard {
     hetero: Option<ShardHetero>,
 }
 
-/// Per-shard heterogeneity books (local-bin indexed, like `Shard::loads`).
+/// Per-shard heterogeneity books (local-bin indexed, like `Shard::index`).
 #[derive(Debug)]
 struct ShardHetero {
-    /// Per-bin total ball weight.
-    weights: Vec<u64>,
-    /// Fenwick subtree over the per-bin weights.
+    /// Index over the per-bin total ball weights.
     weight_index: LoadIndex,
-    /// Fenwick subtree over the per-bin rate mass `s_i·ℓ_i` — the local
+    /// Index over the per-bin rate mass `s_i·ℓ_i` — the local
     /// law of the departure and ring clocks.
     rate_index: LoadIndex,
     /// Per-ball weights, bin by bin; `None` iff the weight distribution is
@@ -253,12 +249,10 @@ impl ShardedEngine {
         for s in 0..shards {
             let len = per + usize::from(s < extra);
             let bins = start..start + len;
-            let loads: Vec<u64> = initial.loads()[bins.clone()].to_vec();
-            let index = LoadIndex::from_loads(&loads);
+            let index = LoadIndex::from_loads(&initial.loads()[bins.clone()]);
             shard_vec.push(Mutex::new(Shard {
                 live_local: (0..len).map(bin_u32).collect(),
                 bins,
-                loads,
                 index,
                 hetero: None,
             }));
@@ -349,6 +343,7 @@ impl ShardedEngine {
         for shard in &engine.shards {
             let mut shard = shard.lock().expect("shard lock");
             let range = shard.bins.clone();
+            let loads = &engine.published[range.clone()];
             let local_balls: Option<Vec<Vec<u64>>> =
                 balls.as_ref().map(|b| b[range.clone()].to_vec());
             let weights: Vec<u64> = match &local_balls {
@@ -360,10 +355,9 @@ impl ShardedEngine {
                             .ok_or_else(|| LiveError::params("bin weight overflows u64"))
                     })
                     .collect::<Result<_, _>>()?,
-                None => shard.loads.clone(),
+                None => loads.to_vec(),
             };
-            let rates: Vec<u64> = shard
-                .loads
+            let rates: Vec<u64> = loads
                 .iter()
                 .zip(&speeds[range.clone()])
                 .map(|(&l, &s)| {
@@ -375,7 +369,6 @@ impl ShardedEngine {
             shard.hetero = Some(ShardHetero {
                 weight_index: LoadIndex::from_loads(&weights),
                 rate_index: LoadIndex::from_loads(&rates),
-                weights,
                 balls: local_balls,
             });
         }
@@ -527,12 +520,10 @@ impl ShardedEngine {
                 let mut shard = shards[s].lock().expect("shard lock");
                 for &(dest, weight) in &inboxes[s] {
                     let offset = dest as usize - shard.bins.start;
-                    shard.loads[offset] += 1;
                     shard.index.increment(offset);
                     if let Some(sh) = &mut shard.hetero {
                         let speed = hetero.expect("shard hetero implies engine hetero").speeds
                             [dest as usize];
-                        sh.weights[offset] += weight;
                         sh.weight_index.add(offset, weight);
                         sh.rate_index.add(offset, speed);
                         if let Some(balls) = &mut sh.balls {
@@ -556,10 +547,10 @@ impl ShardedEngine {
         let mut published_weights = self.hetero.as_mut().map(|h| &mut h.published_weights);
         for shard in &self.shards {
             let shard = shard.lock().expect("shard lock");
-            published[shard.bins.clone()].copy_from_slice(&shard.loads);
+            publish(&shard.index, &mut published[shard.bins.clone()]);
             if let Some(w) = published_weights.as_deref_mut() {
                 let sh = shard.hetero.as_ref().expect("hetero shards");
-                w[shard.bins.clone()].copy_from_slice(&sh.weights);
+                publish(&sh.weight_index, &mut w[shard.bins.clone()]);
             }
         }
         // Membership churn resolves on the published global state, single-
@@ -700,7 +691,7 @@ impl ShardedEngine {
 
     /// Rebuild the shard partition over the current capacity (same
     /// contiguous arithmetic as boot, so [`owner_of`](Self::owner_of)
-    /// stays consistent), refreshing loads, Fenwicks and live lists from
+    /// stays consistent), refreshing loads, indexes and live lists from
     /// the published state.  Only reached on unit engines: churn is
     /// rejected on weighted ones.
     fn repartition(&mut self) {
@@ -713,17 +704,15 @@ impl ShardedEngine {
         for s in 0..count {
             let len = per + usize::from(s < extra);
             let bins = start..start + len;
-            let loads: Vec<u64> = self.published[bins.clone()].to_vec();
             let live_local: Vec<u32> = bins
                 .clone()
                 .filter(|&b| self.membership.is_live(b))
                 .map(|b| bin_u32(b - bins.start))
                 .collect();
             rebuilt.push(Mutex::new(Shard {
-                index: LoadIndex::from_loads(&loads),
+                index: LoadIndex::from_loads(&self.published[bins.clone()]),
                 live_local,
                 bins,
-                loads,
                 hetero: None,
             }));
             start += len;
@@ -783,6 +772,13 @@ impl ShardedEngine {
         } else {
             extra + (bin - boundary) / per.max(1)
         }
+    }
+}
+
+/// Copy a shard index's per-bin masses into its slice of a global vector.
+fn publish(index: &LoadIndex, out: &mut [u64]) {
+    for (offset, slot) in out.iter_mut().enumerate() {
+        *slot = index.load(offset);
     }
 }
 
@@ -868,12 +864,10 @@ fn run_slice<R: Rng64 + ?Sized>(
                     Some(h) => h.dist.sample(rng),
                     None => 1,
                 };
-                shard.loads[offset] += 1;
                 shard.index.increment(offset);
                 if let Some(sh) = &mut shard.hetero {
                     let speed = hetero.expect("shard hetero implies engine hetero").speeds
                         [shard.bins.start + offset];
-                    sh.weights[offset] += weight;
                     sh.weight_index.add(offset, weight);
                     sh.rate_index.add(offset, speed);
                     if let Some(balls) = &mut sh.balls {
@@ -894,7 +888,6 @@ fn run_slice<R: Rng64 + ?Sized>(
                 .as_ref()
                 .and_then(|sh| sh.balls.as_ref())
                 .map(|balls| rng.next_index(balls[offset].len()));
-            shard.loads[offset] -= 1;
             shard.index.decrement(offset);
             if let Some(sh) = &mut shard.hetero {
                 let weight = match (&mut sh.balls, picked) {
@@ -903,7 +896,6 @@ fn run_slice<R: Rng64 + ?Sized>(
                 };
                 let speed = hetero.expect("shard hetero implies engine hetero").speeds
                     [shard.bins.start + offset];
-                sh.weights[offset] -= weight;
                 sh.weight_index.sub(offset, weight);
                 sh.rate_index.sub(offset, speed);
             }
@@ -942,14 +934,14 @@ fn run_slice<R: Rng64 + ?Sized>(
                         },
                         source,
                         BinState {
-                            weight: sh.weights[source_offset],
+                            weight: sh.weight_index.load(source_offset),
                             speed: h.speeds[source],
                         },
                         ball,
                         || dest_sampler.sample(source, membership, rng),
                         |bin| BinState {
                             weight: if shard.bins.contains(&bin) {
-                                sh.weights[bin - shard.bins.start]
+                                sh.weight_index.load(bin - shard.bins.start)
                             } else {
                                 h.published_weights[bin]
                             },
@@ -962,11 +954,11 @@ fn run_slice<R: Rng64 + ?Sized>(
                             m: published_m,
                         },
                         source,
-                        shard.loads[source_offset],
+                        shard.index.load(source_offset),
                         || dest_sampler.sample(source, membership, rng),
                         |bin| {
                             if shard.bins.contains(&bin) {
-                                shard.loads[bin - shard.bins.start]
+                                shard.index.load(bin - shard.bins.start)
                             } else {
                                 published[bin]
                             }
@@ -976,7 +968,6 @@ fn run_slice<R: Rng64 + ?Sized>(
             };
             if decision.moved {
                 let dest = decision.dest.expect("a moving ring has a destination");
-                shard.loads[source_offset] -= 1;
                 shard.index.decrement(source_offset);
                 let weight = if let Some(sh) = &mut shard.hetero {
                     let w = match (&mut sh.balls, picked) {
@@ -985,7 +976,6 @@ fn run_slice<R: Rng64 + ?Sized>(
                     };
                     let speed = hetero.expect("shard hetero implies engine hetero").speeds
                         [shard.bins.start + source_offset];
-                    sh.weights[source_offset] -= w;
                     sh.weight_index.sub(source_offset, w);
                     sh.rate_index.sub(source_offset, speed);
                     w
@@ -995,12 +985,10 @@ fn run_slice<R: Rng64 + ?Sized>(
                 delta.migrations += 1;
                 if shard.bins.contains(&dest) {
                     let dest_offset = dest - shard.bins.start;
-                    shard.loads[dest_offset] += 1;
                     shard.index.increment(dest_offset);
                     if let Some(sh) = &mut shard.hetero {
                         let speed =
                             hetero.expect("shard hetero implies engine hetero").speeds[dest];
-                        sh.weights[dest_offset] += weight;
                         sh.weight_index.add(dest_offset, weight);
                         sh.rate_index.add(dest_offset, speed);
                         if let Some(balls) = &mut sh.balls {
@@ -1202,7 +1190,7 @@ mod tests {
     #[test]
     fn weighted_books_stay_consistent_at_every_barrier() {
         // After every barrier: published weights mirror the per-shard
-        // books, the Fenwicks agree with the dense vectors, and each bin's
+        // books, the indexes agree with the dense vectors, and each bin's
         // ball list carries exactly `load` balls summing to its weight.
         let mut engine = weighted(16, 256, 4, 9);
         for _ in 0..40 {
@@ -1213,18 +1201,18 @@ mod tests {
                 let sh = shard.hetero.as_ref().unwrap();
                 let balls = sh.balls.as_ref().unwrap();
                 for (offset, bin) in shard.bins.clone().enumerate() {
-                    assert_eq!(balls[offset].len() as u64, shard.loads[offset]);
+                    assert_eq!(balls[offset].len() as u64, shard.index.load(offset));
                     let w: u64 = balls[offset].iter().sum();
-                    assert_eq!(w, sh.weights[offset]);
+                    assert_eq!(w, sh.weight_index.load(offset));
                     assert_eq!(published_w[bin], w);
                 }
-                let w_total: u64 = sh.weights.iter().sum();
+                let w_total: u64 = balls.iter().flatten().sum();
                 assert_eq!(sh.weight_index.total(), w_total);
                 let r_total: u64 = shard
                     .bins
                     .clone()
-                    .zip(&shard.loads)
-                    .map(|(bin, &l)| l * engine.speeds().unwrap()[bin])
+                    .enumerate()
+                    .map(|(offset, bin)| shard.index.load(offset) * engine.speeds().unwrap()[bin])
                     .sum();
                 assert_eq!(sh.rate_index.total(), r_total);
             }

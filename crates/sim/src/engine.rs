@@ -4,15 +4,16 @@
 //! By the superposition property of Poisson processes the time to the *next*
 //! ring anywhere in the system is `Exp(m)` and the ringing ball is uniform
 //! over the `m` balls.  Balls are exchangeable, so "a uniform ball" is the
-//! same law as "a bin with probability `load/m`" — which a Fenwick-indexed
-//! load vector ([`LoadIndex`]) answers in `O(log n)` with `O(n)` memory.
+//! same law as "a bin with probability `load/m`" — which the 8-ary
+//! prefix-sum index over the loads ([`LoadIndex`]) answers in one cache
+//! line read per level (4 at n = 4096) with `O(n)` memory.
 //! The engine therefore never materializes per-ball state: `m` is a plain
 //! `u64` with no `u32::MAX` cap, and a billion-ball instance costs the same
 //! memory as a thousand-ball one.  This is an exact simulation of the
 //! continuous-time law, not a discretization or an approximation: the
 //! sampled bin has exactly the distribution of the activated ball's bin.
 //!
-//! A ring is one step of the shared ring decision: a Fenwick rank picks
+//! A ring is one step of the shared ring decision: an index rank picks
 //! the source bin, the [`DestSampler`] draws a destination (uniform over
 //! all bins on the complete graph, over the source's neighbours on a
 //! sparse topology), [`RebalancePolicy::decide`] rules on it, and
@@ -164,7 +165,7 @@ impl Simulation {
         self.state.tracker()
     }
 
-    /// The Fenwick index over the loads (exchangeable-ball sampling).
+    /// The load index over the loads (exchangeable-ball sampling).
     pub fn index(&self) -> &LoadIndex {
         self.state.index()
     }
