@@ -293,7 +293,8 @@ impl LoadIndex {
             acc += mass;
             idx += usize::from(acc <= rank);
         }
-        (node * FANOUT + idx, self.inner.len() as u32 + 1)
+        let depth = u32::try_from(self.inner.len() + 1).expect("at most 22 levels over u64 bins");
+        (node * FANOUT + idx, depth)
     }
 
     /// Add one ball to `bin`.

@@ -163,9 +163,24 @@ impl Membership {
     }
 
     /// The live id at sampling position `k` (`k < live_count`).
+    ///
+    /// At epoch 0 the live set is exactly `0..n` in order, so this returns
+    /// `k` without reading `live_ids` (a cold line per draw at large `n`).
+    ///
+    /// # Panics
+    /// Panics if `k >= live_count`.
     #[inline]
     pub fn live_at(&self, k: usize) -> usize {
-        self.live_ids[k] as usize
+        if self.log.is_empty() {
+            assert!(
+                k < self.live_ids.len(),
+                "live position {k} outside 0..{}",
+                self.live_ids.len()
+            );
+            k
+        } else {
+            self.live_ids[k] as usize
+        }
     }
 
     /// The live ids in ascending id order (structured-topology rebuilds
@@ -295,6 +310,30 @@ mod tests {
         // A later join does NOT resurrect id 1.
         assert_eq!(m.join(), 4);
         assert!(!m.is_live(1));
+    }
+
+    #[test]
+    fn live_at_reads_the_live_ids_at_every_epoch() {
+        let agree =
+            |m: &Membership| (0..m.live_count()).all(|k| m.live_at(k) == m.live_ids()[k] as usize);
+        let mut m = Membership::new(5);
+        assert!(agree(&m), "fresh: the identity path");
+        m.join();
+        m.join();
+        assert!(agree(&m), "after joins");
+        m.retire(1);
+        assert_eq!(m.live_ids(), &[0, 6, 2, 3, 4, 5], "swap-remove order");
+        assert!(agree(&m), "after a retirement");
+        assert!(agree(&m.snapshot().replay().unwrap()), "after replay");
+        let fresh = Membership::new(3).snapshot().replay().unwrap();
+        assert!(agree(&fresh), "after replaying an empty log");
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 0..3")]
+    fn live_at_past_the_live_count_panics_at_epoch_zero() {
+        let m = Membership::new(3);
+        m.live_at(m.live_count());
     }
 
     #[test]

@@ -9,6 +9,13 @@
 //! [`add_bin`](LoadState::add_bin) and [`retire_bin`](LoadState::retire_bin).
 //! A mutator that returns an error has changed nothing.
 //!
+//! The index holds every load in its leaf slots, so the event path reads
+//! loads there: the source's leaf was just read by the rank descent, and
+//! the destination's leaf is about to be written by the update anyway.
+//! The [`Config`] is the written mirror behind [`config`](LoadState::config)
+//! for callers that want a load vector (adversaries, exports, checks); at
+//! large `n` reading it too would cost a second cold line per bin.
+//!
 //! ```
 //! use rls_core::{Config, LoadState};
 //!
@@ -203,7 +210,7 @@ impl LoadState {
         if self.is_retired(to) {
             return Err(ConfigError::Retired { bin: to });
         }
-        let (lf, lt) = (self.cfg.load(from), self.cfg.load(to));
+        let (lf, lt) = (self.index.load(from), self.index.load(to));
         if lf == 0 {
             return Err(ConfigError::EmptyBin { bin: from });
         }
@@ -239,7 +246,7 @@ impl LoadState {
         if self.is_retired(bin) {
             return Err(ConfigError::Retired { bin });
         }
-        let old = self.cfg.load(bin);
+        let old = self.index.load(bin);
         self.cfg.add_ball(bin)?;
         self.tracker.record_insert(old);
         self.index.record_insert(bin);
@@ -258,7 +265,7 @@ impl LoadState {
     #[inline]
     pub fn remove(&mut self, bin: usize, picked: Option<usize>) -> Result<u64, ConfigError> {
         self.check_bin(bin)?;
-        let old = self.cfg.load(bin);
+        let old = self.index.load(bin);
         self.cfg.remove_ball(bin)?;
         self.tracker.record_remove(old);
         self.index.record_remove(bin);

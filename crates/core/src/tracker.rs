@@ -5,13 +5,21 @@
 //! vector is `O(n)`; the simulator performs on the order of `m ln n + n²`
 //! activations per run and needs these quantities after each one, so the
 //! naive approach turns an `O(events)` simulation into `O(events · n)`.
-//! [`LoadTracker`] maintains them in `O(1)` amortized per move by exploiting
-//! that a single move changes exactly two loads by exactly one:
+//! [`LoadTracker`] maintains them incrementally by exploiting that a single
+//! move, arrival or departure changes one or two loads by exactly one:
 //!
 //! * a histogram of loads (`load value → number of bins`),
 //! * the minimum and maximum load (adjusted by at most one step per move),
 //! * the number of overloaded balls and of holes,
 //! * the counts of bins above / at / below the exact average.
+//!
+//! A move costs two histogram updates, or none when it swaps two loads
+//! that differ by one (the multiset is unchanged).  An arrival or a
+//! departure costs one histogram update plus `O(1)` work to shift the
+//! average: `⌊m/n⌋` and `⌈m/n⌉` step only when `m` crosses a multiple of
+//! `n`, and the aggregates then follow from the bin counts and at most one
+//! histogram lookup.  Only a bin joining or retiring (`n` changes) rescans
+//! the histogram, in `O(#distinct loads)`.
 //!
 //! The tracker is identity-agnostic: it never needs to know *which* bins
 //! moved, only their loads immediately before the move.  The ablation bench
@@ -144,6 +152,11 @@ impl LoadTracker {
     /// e.g. `old_from_load == 0` or no bin currently has that load.
     pub fn record_move(&mut self, old_from_load: u64, old_to_load: u64) {
         debug_assert!(old_from_load > 0, "cannot move a ball out of an empty bin");
+        if old_to_load + 1 == old_from_load {
+            // The two loads swap: the multiset, and so every aggregate,
+            // is unchanged.
+            return;
+        }
         self.change_bin(old_from_load, old_from_load - 1);
         self.change_bin(old_to_load, old_to_load + 1);
     }
@@ -151,27 +164,94 @@ impl LoadTracker {
     /// Record a ball *arriving* into a bin whose load before the arrival was
     /// `old_load` (dynamic instances: `m` grows by one).
     ///
-    /// The histogram and the min/max stay incremental; the average-relative
-    /// aggregates (overloaded balls, holes, bin counts) are rebuilt from the
-    /// histogram because the average `m/n` itself moved.  That rescan is
-    /// `O(#distinct loads)` — for configurations near balance a handful of
-    /// entries, never `O(n)`.
+    /// `O(1)` histogram work: the bin changes at the old average, then the
+    /// average shifts, which moves `⌈m/n⌉` when the old `m` is a multiple
+    /// of `n` and `⌊m/n⌋` when the new one is.
     pub fn record_insert(&mut self, old_load: u64) {
+        self.change_bin(old_load, old_load + 1);
+        let n = self.n as u64;
+        if self.m.is_multiple_of(n) {
+            self.raise_ceil();
+        }
         self.m += 1;
-        self.shift_load(old_load, old_load + 1);
-        self.refresh_average_relative();
+        if self.m.is_multiple_of(n) {
+            self.raise_floor();
+        }
     }
 
     /// Record a ball *departing* from a bin whose load before the departure
     /// was `old_load` (dynamic instances: `m` shrinks by one).
     ///
+    /// `O(1)` histogram work, mirroring [`record_insert`](Self::record_insert):
+    /// `⌊m/n⌋` falls when the old `m` is a multiple of `n` and `⌈m/n⌉` when
+    /// the new one is.
+    ///
     /// # Panics
     /// Panics (in debug builds) if `old_load == 0`.
     pub fn record_remove(&mut self, old_load: u64) {
         debug_assert!(old_load > 0, "cannot remove a ball from an empty bin");
+        self.change_bin(old_load, old_load - 1);
+        let n = self.n as u64;
+        if self.m.is_multiple_of(n) {
+            self.lower_floor();
+        }
         self.m -= 1;
-        self.shift_load(old_load, old_load - 1);
-        self.refresh_average_relative();
+        if self.m.is_multiple_of(n) {
+            self.lower_ceil();
+        }
+    }
+
+    // The four average shifts below rely on the classification of
+    // `change_bin`: with `f = ⌊m/n⌋` and `c = ⌈m/n⌉` (so `c ∈ {f, f + 1}`),
+    // a bin is above iff `l > f`, at iff `l = f = c`, and below iff
+    // `l ≤ f` and `l < c`.  Each shift moves one of `f`, `c` by one and
+    // re-classifies the bins of exactly one load.
+
+    /// `c` rises from `f` to `f + 1`: every bin above `f` sheds one
+    /// overloaded ball, and the bins at `f` fall below.
+    fn raise_ceil(&mut self) {
+        debug_assert_eq!(self.ceil_avg, self.floor_avg);
+        self.overloaded -= self.bins_above as u64;
+        self.ceil_avg += 1;
+        self.bins_below += self.bins_at;
+        self.bins_at = 0;
+    }
+
+    /// `f` rises to `c`: every bin at or below the old `f` gains one hole,
+    /// and the bins at `c` stop being above.
+    fn raise_floor(&mut self) {
+        debug_assert_eq!(self.ceil_avg, self.floor_avg + 1);
+        self.holes += self.bins_below as u64;
+        self.floor_avg += 1;
+        let at = self.bins_with(self.floor_avg);
+        self.bins_above -= at;
+        self.bins_at = at;
+    }
+
+    /// `f` falls from `c` to `c − 1`: every bin below the old `f` loses
+    /// one hole, and the bins at `c` rise above.
+    fn lower_floor(&mut self) {
+        debug_assert_eq!(self.ceil_avg, self.floor_avg);
+        self.holes -= self.bins_below as u64;
+        self.floor_avg -= 1;
+        self.bins_above += self.bins_at;
+        self.bins_at = 0;
+    }
+
+    /// `c` falls to `f`: every bin above `f` gains one overloaded ball,
+    /// and the bins at `f` stop being below.
+    fn lower_ceil(&mut self) {
+        debug_assert_eq!(self.ceil_avg, self.floor_avg + 1);
+        self.overloaded += self.bins_above as u64;
+        self.ceil_avg -= 1;
+        let at = self.bins_with(self.floor_avg);
+        self.bins_below -= at;
+        self.bins_at = at;
+    }
+
+    /// Number of bins holding exactly `load` balls.
+    fn bins_with(&self, load: u64) -> usize {
+        self.counts.get(&load).copied().unwrap_or(0)
     }
 
     /// Record a bin *joining* the tracked set with `load` balls already in
@@ -235,12 +315,29 @@ impl LoadTracker {
         for (&load, &bins) in &self.counts {
             self.overloaded += load.saturating_sub(self.ceil_avg) * bins as u64;
             self.holes += self.floor_avg.saturating_sub(load) * bins as u64;
-            let lhs = load as u128 * self.n as u128;
-            match lhs.cmp(&(self.m as u128)) {
-                core::cmp::Ordering::Greater => self.bins_above += bins,
-                core::cmp::Ordering::Equal => self.bins_at += bins,
-                core::cmp::Ordering::Less => self.bins_below += bins,
+            match self.class(load) {
+                1 => self.bins_above += bins,
+                0 => self.bins_at += bins,
+                _ => self.bins_below += bins,
             }
+        }
+    }
+
+    /// Where a bin of load `l` sits against the exact average `m/n`:
+    /// `1` above, `0` at, `-1` below.  `l > ⌊m/n⌋` is `l·n > m`, and
+    /// `l < ⌈m/n⌉` is `l·n < m`, so no product is formed.
+    #[inline]
+    fn class(&self, l: u64) -> i8 {
+        i8::from(l > self.floor_avg) - i8::from(l < self.ceil_avg)
+    }
+
+    /// The bin count of a [`class`](Self::class).
+    #[inline]
+    fn class_count(&mut self, class: i8) -> &mut usize {
+        match class {
+            1 => &mut self.bins_above,
+            0 => &mut self.bins_at,
+            _ => &mut self.bins_below,
         }
     }
 
@@ -285,28 +382,11 @@ impl LoadTracker {
         self.holes =
             self.holes + self.floor_avg.saturating_sub(new) - self.floor_avg.saturating_sub(old);
 
-        // Bins above / at / below the exact average (compare l·n with m).
-        let class = |l: u64| -> i8 {
-            let lhs = l as u128 * self.n as u128;
-            let rhs = self.m as u128;
-            match lhs.cmp(&rhs) {
-                core::cmp::Ordering::Greater => 1,
-                core::cmp::Ordering::Equal => 0,
-                core::cmp::Ordering::Less => -1,
-            }
-        };
-        let (old_class, new_class) = (class(old), class(new));
+        // Bins above / at / below the exact average.
+        let (old_class, new_class) = (self.class(old), self.class(new));
         if old_class != new_class {
-            match old_class {
-                1 => self.bins_above -= 1,
-                0 => self.bins_at -= 1,
-                _ => self.bins_below -= 1,
-            }
-            match new_class {
-                1 => self.bins_above += 1,
-                0 => self.bins_at += 1,
-                _ => self.bins_below += 1,
-            }
+            *self.class_count(old_class) -= 1;
+            *self.class_count(new_class) += 1;
         }
     }
 

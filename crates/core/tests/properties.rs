@@ -142,9 +142,7 @@ proptest! {
     /// The average-relative aggregates (discrepancy, overloaded balls,
     /// holes, bin counts, Phase-2 potential) stay pinned to a freshly
     /// rebuilt tracker under *arbitrary interleavings* of moves, arrivals
-    /// and departures.  `refresh_average_relative` only runs on population
-    /// changes, so this exercises the incremental `record_move` path
-    /// between rebuilds as well as the rebuild path itself.
+    /// and departures, all of which update the tracker incrementally.
     #[test]
     fn tracker_aggregates_match_rebuild_under_mixed_churn(
         cfg in config_strategy(),
@@ -193,6 +191,67 @@ proptest! {
             prop_assert_eq!(tracker.phase2_potential(), rebuilt.phase2_potential());
             prop_assert_eq!(tracker.min_load(), rebuilt.min_load());
             prop_assert_eq!(tracker.max_load(), rebuilt.max_load());
+        }
+    }
+
+    /// The `O(1)` average shifts of `record_insert`/`record_remove` on tiny
+    /// instances, where `m` keeps crossing multiples of `n` (`n = 1` and
+    /// draining to `m = 0` included), interleaved with moves (neutral swaps
+    /// included) and with the rescanning `bin_joined`/`bin_retired`: after
+    /// every operation the tracker matches a rebuilt configuration and its
+    /// Phase-2 potential equals a fresh snapshot's.
+    #[test]
+    fn tracker_average_shifts_match_a_rebuild(
+        loads in prop::collection::vec(0u64..=4, 1..=6),
+        ops in prop::collection::vec((0u8..7, 0usize..8, 0usize..8), 0..120),
+    ) {
+        const MAX_LOAD: u64 = 4;
+        let mut loads = loads;
+        let mut tracker = LoadTracker::new(&Config::from_loads(loads.clone()).unwrap());
+        for (kind, a, b) in ops {
+            let n = loads.len();
+            let (a, b) = (a % n, b % n);
+            match kind {
+                0 if loads[a] < MAX_LOAD => {
+                    tracker.record_insert(loads[a]);
+                    loads[a] += 1;
+                }
+                1 | 2 if loads[a] > 0 => {
+                    tracker.record_remove(loads[a]);
+                    loads[a] -= 1;
+                }
+                3 if a != b && loads[a] > 0 && loads[b] < MAX_LOAD => {
+                    tracker.record_move(loads[a], loads[b]);
+                    loads[a] -= 1;
+                    loads[b] += 1;
+                }
+                4 => {
+                    // A neutral swap: a ball leaves a bin for one holding
+                    // exactly one ball less.
+                    let pair = (0..n)
+                        .flat_map(|x| (0..n).map(move |y| (x, y)))
+                        .find(|&(x, y)| loads[x] == loads[y] + 1);
+                    if let Some((x, y)) = pair {
+                        tracker.record_move(loads[x], loads[y]);
+                        loads.swap(x, y);
+                    }
+                }
+                5 if n < 8 => {
+                    let load = b as u64 % 3;
+                    tracker.bin_joined(load);
+                    loads.push(load);
+                }
+                6 if n > 1 => {
+                    if let Some(empty) = loads.iter().position(|&l| l == 0) {
+                        tracker.bin_retired();
+                        loads.swap_remove(empty);
+                    }
+                }
+                _ => {}
+            }
+            let cfg = Config::from_loads(loads.clone()).unwrap();
+            prop_assert!(tracker.matches(&cfg), "{:?} vs {:?}", tracker, loads);
+            prop_assert_eq!(tracker.phase2_potential(), Phase2Snapshot::capture(&cfg).potential);
         }
     }
 

@@ -641,10 +641,7 @@ impl LiveEngine {
             if (m == 0 && self.churn.is_none()) || pick < epoch_rate {
                 let mut bins = Vec::with_capacity(self.params.arrivals.epoch_size() as usize);
                 for _ in 0..self.params.arrivals.epoch_size() {
-                    let bin = self
-                        .params
-                        .arrivals
-                        .place_among(self.membership.live_ids(), rng);
+                    let bin = self.place_arrival(rng);
                     let weight = self.dist.sample(rng);
                     self.arrive(bin, weight);
                     bins.push(bin_u32(bin));
@@ -762,7 +759,7 @@ impl LiveEngine {
                 match bin {
                     Some(bin) => {
                         check_bin("departure", bin)?;
-                        if self.config().load(bin) == 0 {
+                        if self.index().load(bin) == 0 {
                             return Err(LiveError::command(format!(
                                 "departure from empty bin {bin}"
                             )));
@@ -804,7 +801,7 @@ impl LiveEngine {
                 match source {
                     Some(source) => {
                         check_bin("ring source", source)?;
-                        if self.config().load(source) == 0 {
+                        if self.index().load(source) == 0 {
                             return Err(LiveError::command(format!(
                                 "ring in empty bin {source} (no ball to activate)"
                             )));
@@ -889,10 +886,7 @@ impl LiveEngine {
             LiveCommand::Arrive { bin, weight } => {
                 let bin = match bin {
                     Some(bin) => bin,
-                    None => self
-                        .params
-                        .arrivals
-                        .place_among(self.membership.live_ids(), rng),
+                    None => self.place_arrival(rng),
                 };
                 let weight = match weight {
                     Some(w) => w,
@@ -1043,6 +1037,16 @@ impl LiveEngine {
         processed
     }
 
+    /// The live bin an arriving ball lands in: the arrival law picks a
+    /// live position, which maps to its id without a read at epoch 0.
+    fn place_arrival<R: Rng64 + ?Sized>(&self, rng: &mut R) -> usize {
+        let position = self
+            .params
+            .arrivals
+            .place(self.membership.live_count(), rng);
+        self.membership.live_at(position)
+    }
+
     /// Apply an arrival of a ball of `weight` to `bin`.
     fn arrive(&mut self, bin: usize, weight: u64) {
         self.state
@@ -1105,9 +1109,9 @@ impl LiveEngine {
                 self.picked_weight(source, picked),
             )
         } else {
-            let cfg = self.config();
+            let index = self.index();
             self.policy
-                .permits_loads(self.ring_ctx(), cfg.load(source), cfg.load(dest))
+                .permits_loads(self.ring_ctx(), index.load(source), index.load(dest))
         }
     }
 
@@ -1141,10 +1145,10 @@ impl LiveEngine {
                 |b| bin_state(h, b),
             )
         } else {
-            let cfg = state.config();
+            let index = state.index();
             self.policy
-                .decide(self.ring_ctx(), source, cfg.load(source), sample, |b| {
-                    cfg.load(b)
+                .decide(self.ring_ctx(), source, index.load(source), sample, |b| {
+                    index.load(b)
                 })
         };
         if let Some(m) = &self.metrics {

@@ -207,6 +207,7 @@ impl Simulation {
         let rank = rng.next_below(self.state.index().total());
         let source = self.state.index().bin_at(rank);
         let cfg = self.state.config();
+        let index = self.state.index();
         let sampler = &self.sampler;
         let ctx = RingContext {
             n: cfg.n(),
@@ -215,9 +216,9 @@ impl Simulation {
         let decision = self.policy.decide(
             ctx,
             source,
-            cfg.load(source),
+            index.load(source),
             || sampler.sample(source, rng),
-            |b| cfg.load(b),
+            |b| index.load(b),
         );
         let dest = decision.dest.unwrap_or(source);
         if decision.moved {

@@ -91,6 +91,10 @@ impl ArrivalProcess {
     }
 
     /// Sample the destination bin of one arriving ball.
+    ///
+    /// The engines sample a live *position* this way and map it to a bin
+    /// id with `Membership::live_at`; the hotspot's position `0` is the
+    /// first live id.
     pub fn place<R: Rng64 + ?Sized>(&self, n: usize, rng: &mut R) -> usize {
         match *self {
             ArrivalProcess::Hotspot { bias, .. } if rng.next_bernoulli(bias) => 0,
@@ -98,14 +102,14 @@ impl ArrivalProcess {
         }
     }
 
-    /// Sample the destination among an explicit id list — the elastic
-    /// engines' placement path, where the live bin set is no longer
-    /// `0..n`.  The hotspot's privileged bin is `ids[0]` (the live list
-    /// keeps the boot-time bin 0 in front until it retires).
+    /// Sample the destination among an explicit id list.  The hotspot's
+    /// privileged bin is `ids[0]`.
     ///
-    /// For a dense list `ids == [0, n)` this consumes the exact same
-    /// draws as [`place`](Self::place) and returns the same bin, so
-    /// churn-free trajectories are unchanged.
+    /// This is `ids[place(ids.len())]`: the same draws as
+    /// [`place`](Self::place), mapped through the list.  No engine calls
+    /// it any more (they map `place` through `Membership::live_at`, which
+    /// skips the id-list read while the live set is `0..n`); it is kept
+    /// only for the benchmark's `workloads.arrivals.place_ns` probe.
     ///
     /// # Panics
     /// Panics if `ids` is empty.
